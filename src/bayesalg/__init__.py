@@ -12,12 +12,9 @@ from .field import (
     EPSILON,
     InfinitesimalScalar,
     Polynomial,
-    Rational,
     Scalar,
     format_scalar,
     parse_scalar,
-    scalar_arith,
-    scalar_compare,
     standard_part,
     valuation,
 )

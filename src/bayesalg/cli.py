@@ -22,6 +22,7 @@ from .dbl.semantics import holds
 from .dbl.syntax import FormulaParseError, atom_names, parse_sequent
 from .field import format_scalar, standard_part
 from .prob import (
+    Distribution,
     NullEventError,
     distribution_from_json,
     extend_distribution,
@@ -67,6 +68,20 @@ def _load_algebra(path: str) -> FiniteBooleanAlgebra:
         raise UsageError(f"{path}: expected an object with an \"atoms\" list")
     try:
         return FiniteBooleanAlgebra.from_json(data)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _load_distribution(tower: Tower, path: str) -> Distribution:
+    data = _read_json(path)
+    if not isinstance(data, dict) or not isinstance(data.get("masses"), dict):
+        raise UsageError(f"{path}: expected an object with a \"masses\" mapping")
+    stage = data.get("stage", 0)
+    if type(stage) is not int or not 0 <= stage <= tower.top_index:
+        raise UsageError(f"{path}: stage {stage!r} is not a stage of the tower"
+                         f" (0..{tower.top_index})")
+    try:
+        return distribution_from_json(tower, data)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
@@ -135,7 +150,7 @@ def _split_conditional(text: str):
 
 def cmd_prob(args) -> int:
     tower = _load_tower(args.tower, args.max_atoms).fork()
-    dist = distribution_from_json(tower, _read_json(args.dist))
+    dist = _load_distribution(tower, args.dist)
     positivity = _positivity(args.field)
     split = _split_conditional(args.query)
     try:
@@ -164,7 +179,7 @@ def cmd_prob(args) -> int:
 
 def cmd_verify(args) -> int:
     tower = _load_tower(args.tower, args.max_atoms)
-    dist = distribution_from_json(tower, _read_json(args.dist))
+    dist = _load_distribution(tower, args.dist)
     positivity = _positivity(args.field)
     axiom_failures = check_bayes_axioms(tower)
     top = tower.top
@@ -219,7 +234,7 @@ def cmd_lewis(args) -> int:
     tower = Tower(algebra)
     x = _parse_top_element(tower, args.x)
     y = _parse_top_element(tower, args.y)
-    dists = [distribution_from_json(tower, _read_json(p)) for p in args.dists]
+    dists = [_load_distribution(tower, p) for p in args.dists]
     ratios = []
     for k, d in enumerate(dists, 1):
         p_x = prob_of(d, x)

@@ -8,6 +8,16 @@ numerator is positive, which makes ``e`` a positive element smaller than
 every positive rational. The standard part maps a finite element to the
 coefficient of ``e^0`` of its series expansion.
 
+An element of Q(e) is stored fraction-free, as a numerator and a
+denominator of integer coefficients that are coprime over Q[e], share no
+integer content, and have a positive lowest denominator coefficient. That
+form is unique, so equality is a tuple compare. Sums and products follow
+Henrici (Knuth, TAOCP vol. 2, 4.5.1): they cancel only the factors that
+the operands can share, so the common case needs a gcd of small
+polynomials or none at all. Gcds use the primitive polynomial remainder
+sequence over the integers (Brown 1971). Order is the sign of the lowest
+coefficient of the cross-multiplied difference; no difference is reduced.
+
 All arithmetic is exact. Division by zero raises ZeroDivisionError; the
 standard part of an unbounded element (negative valuation) and the
 valuation of zero raise ScalarDomainError.
@@ -18,20 +28,16 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Union
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "Polynomial",
     "InfinitesimalScalar",
     "Scalar",
     "EPSILON",
     "ScalarDomainError",
     "ScalarParseError",
-    "scalar_arith",
-    "scalar_compare",
     "standard_part",
     "valuation",
     "as_scalar",
@@ -55,8 +61,9 @@ class ScalarParseError(ValueError):
 class Polynomial:
     """Dense polynomial in the infinitesimal, with Fraction coefficients.
 
-    coeffs[k] multiplies e**k. The tuple never has trailing zeros; the
-    zero polynomial is the empty tuple.
+    The input type of the InfinitesimalScalar constructor: coeffs[k]
+    multiplies e**k. The tuple never has trailing zeros; the zero
+    polynomial is the empty tuple.
     """
 
     __slots__ = ("coeffs",)
@@ -73,108 +80,232 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ScalarDomainError("degree of the zero polynomial")
-        return len(self.coeffs) - 1
-
-    def low_degree(self) -> int:
-        """Exponent of the lowest-degree nonzero term."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                return k
-        raise ScalarDomainError("low degree of the zero polynomial")
-
-    def low_coeff(self) -> Fraction:
-        return self.coeffs[self.low_degree()]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("Polynomial", self.coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    def scale(self, c: Union[int, Fraction]) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(a * c for a in self.coeffs)
-
-    def __divmod__(self, other: "Polynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(other.coeffs) - 1
-        dc = other.coeffs[-1]
-        quo = [Fraction(0)] * max(0, len(rem) - dn)
-        while len(rem) - 1 >= dn and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dn:
-                break
-            shift = len(rem) - 1 - dn
-            factor = rem[-1] / dc
-            quo[shift] = factor
-            for k, c in enumerate(other.coeffs):
-                rem[shift + k] -= factor * c
-        return Polynomial(quo), Polynomial(rem)
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-_P_ZERO = Polynomial()
 _P_ONE = Polynomial((1,))
-_P_EPS = Polynomial((0, 1))
 
 
-def _poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    # any associate works; make it monic for determinism
-    return a.scale(1 / a.coeffs[-1])
+# --- integer polynomial kernel ------------------------------------------
+#
+# A polynomial is a tuple of ints, lowest degree first, with no trailing
+# zeros; () is zero. Every function takes and returns such tuples.
+
+_ZERO = ()
+_ONE = (1,)
+
+
+def _low(p) -> int:
+    """Exponent of the lowest nonzero term of a nonzero polynomial."""
+    k = 0
+    while not p[k]:
+        k += 1
+    return k
+
+
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for k, c in enumerate(b):
+        out[k] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _mul(a, b):
+    if not a or not b:
+        return _ZERO
+    if len(a) == 1:
+        c = a[0]
+        return b if c == 1 else tuple(c * x for x in b)
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else tuple(c * x for x in a)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _exquo(a, d):
+    """a / d for a primitive d that divides a over Q.
+
+    By Gauss's lemma the quotient then has integer coefficients, so the
+    long division runs on ints and every step divides exactly.
+    """
+    if len(d) == 1:
+        return a if d[0] == 1 else tuple(-x for x in a)
+    rem = list(a)
+    top = len(d) - 1
+    lead = d[-1]
+    quo = [0] * (len(a) - top)
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + top]
+        if c:
+            q = c // lead
+            quo[i] = q
+            for k, x in enumerate(d):
+                rem[i + k] -= q * x
+    return tuple(quo)
+
+
+def _primitive(p):
+    """p over its content, with a positive leading coefficient."""
+    c = math.gcd(*p)
+    if p[-1] < 0:
+        c = -c
+    return p if c == 1 else tuple(x // c for x in p)
+
+
+def _gcd(a, b):
+    """Primitive gcd of two nonzero polynomials, by the primitive PRS.
+
+    Common powers of e are split off first. The rest is Euclid on
+    primitive parts, where each remainder is a pseudo-remainder: the
+    dividend is scaled by the divisor's leading coefficient instead of
+    dividing by it, so every step stays in the integers (Brown 1971).
+    """
+    la, lb = _low(a), _low(b)
+    shift = min(la, lb)
+    a, b = a[la:], b[lb:]
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > 1:
+        a, b = _primitive(a), _primitive(b)
+        while True:
+            r = list(a)
+            top, lead = len(b) - 1, b[-1]
+            while len(r) > top:
+                g = math.gcd(r[-1], lead)
+                s, t = lead // g, r[-1] // g
+                base = len(r) - 1 - top
+                if s != 1:
+                    r = [s * x for x in r]
+                for k, x in enumerate(b):
+                    r[base + k] -= t * x
+                while r and not r[-1]:
+                    r.pop()
+            if not r:
+                break
+            if len(r) == 1:
+                b = _ONE
+                break
+            a, b = b, _primitive(r)
+    else:
+        b = _ONE
+    return (0,) * shift + b if shift else b
+
+
+def _canonical(num, den):
+    """Scale a coprime pair to joint content 1 and a positive lowest den coefficient."""
+    if not num:
+        return _ZERO, _ONE
+    c = math.gcd(*num, *den)
+    if den[_low(den)] < 0:
+        c = -c
+    if c == 1:
+        return num, den
+    return tuple(x // c for x in num), tuple(x // c for x in den)
+
+
+def _reduce(num, den):
+    """Canonical pair of num/den for any pair with den nonzero."""
+    if num:
+        g = _gcd(num, den)
+        if g != _ONE:
+            num, den = _exquo(num, g), _exquo(den, g)
+    return _canonical(num, den)
+
+
+def _sum(an, ad, bn, bd):
+    """an/ad + bn/bd for nonzero canonical operands, by Henrici's method.
+
+    Only the denominators' gcd d1 can be shared with the new numerator t,
+    so the final cancellation is gcd(t, d1), never gcd(t, ad*bd); when
+    d1 is 1 no cancellation is needed at all.
+    """
+    if ad == bd:
+        t = _add(an, bn)
+        if not t or len(ad) == 1:
+            return t, ad
+        g = _gcd(t, ad)
+        return (t, ad) if g == _ONE else (_exquo(t, g), _exquo(ad, g))
+    if len(ad) == 1 and len(bd) == 1:
+        p, q = ad[0], bd[0]
+        return _add(_mul(an, bd), _mul(bn, ad)), (p * q,)
+    d1 = _gcd(ad, bd)
+    if d1 == _ONE:
+        return _add(_mul(an, bd), _mul(bn, ad)), _mul(ad, bd)
+    ad1, bd1 = _exquo(ad, d1), _exquo(bd, d1)
+    t = _add(_mul(an, bd1), _mul(bn, ad1))
+    if not t:
+        return t, _ONE
+    d2 = _gcd(t, d1)
+    if d2 == _ONE:
+        return t, _mul(ad1, bd)
+    return _exquo(t, d2), _mul(ad1, _exquo(bd, d2))
+
+
+def _product(an, ad, bn, bd):
+    """(an/ad) * (bn/bd) for coprime pairs, by Henrici's method: cancel
+    only across the operands, an against bd and bn against ad."""
+    if not an or not bn:
+        return _ZERO, _ONE
+    if len(bd) > 1 and len(an) > 1:
+        g = _gcd(an, bd)
+        if g != _ONE:
+            an, bd = _exquo(an, g), _exquo(bd, g)
+    if len(ad) > 1 and len(bn) > 1:
+        g = _gcd(bn, ad)
+        if g != _ONE:
+            bn, ad = _exquo(bn, g), _exquo(ad, g)
+    return _mul(an, bn), _mul(ad, bd)
+
+
+def _compare(an, ad, bn, bd) -> int:
+    """Sign of an/ad - bn/bd for denominators with positive lowest terms.
+
+    That is the sign of the lowest nonzero coefficient of an*bd - bn*ad,
+    found coefficient by coefficient from e^0 up, so the difference is
+    never built, let alone reduced.
+    """
+    if ad == bd:
+        for x, y in zip_longest(an, bn, fillvalue=0):
+            if x != y:
+                return 1 if x > y else -1
+        return 0
+    for k in range(max(len(an) + len(bd), len(bn) + len(ad)) - 1):
+        c = 0
+        for i in range(max(0, k - len(bd) + 1), min(k + 1, len(an))):
+            c += an[i] * bd[k - i]
+        for i in range(max(0, k - len(ad) + 1), min(k + 1, len(bn))):
+            c -= bn[i] * ad[k - i]
+        if c:
+            return 1 if c > 0 else -1
+    return 0
 
 
 class InfinitesimalScalar:
     """Element of the ordered field of rational functions in ``e``.
 
-    Canonical form: numerator and denominator are coprime polynomials and
-    the lowest-degree nonzero coefficient of the denominator is 1. With
-    that normalization the sign of the element is the sign of the lowest
-    nonzero numerator coefficient, which orders ``e`` strictly between 0
-    and every positive rational.
+    ``num`` and ``den`` are integer coefficient tuples, lowest degree
+    first. Canonical form: they are coprime over Q[e], the joint content
+    of their coefficients is 1, and the lowest nonzero coefficient of
+    ``den`` is positive; zero is ``((), (1,))``. Equal elements therefore
+    have equal tuples, and the sign of an element is the sign of the
+    lowest nonzero numerator coefficient, which orders ``e`` strictly
+    between 0 and every positive rational.
+
+    The constructor clears the Fraction denominators of its Polynomial
+    arguments and reduces fully. Operators build their results directly
+    in canonical form: Henrici's add and multiply cancel only across the
+    operands, with primitive-PRS gcds on integer polynomials, and order
+    is the sign of a cross-multiplied difference.
     """
 
     __slots__ = ("num", "den")
@@ -182,15 +313,12 @@ class InfinitesimalScalar:
     def __init__(self, num: Polynomial, den: Polynomial = _P_ONE):
         if den.is_zero():
             raise ZeroDivisionError("scalar with zero denominator")
-        if num.is_zero():
-            num, den = _P_ZERO, _P_ONE
-        else:
-            g = _poly_gcd(num, den)
-            if g.degree() > 0 or g.coeffs[0] != 1:
-                num, den = num // g, den // g
-            c = den.low_coeff()
-            if c != 1:
-                num, den = num.scale(1 / c), den.scale(1 / c)
+        coeffs = num.coeffs + den.coeffs
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        num, den = _reduce(
+            tuple(c.numerator * (scale // c.denominator) for c in num.coeffs),
+            tuple(c.numerator * (scale // c.denominator) for c in den.coeffs),
+        )
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -199,34 +327,35 @@ class InfinitesimalScalar:
 
     @classmethod
     def from_rational(cls, q: Union[int, Fraction]) -> "InfinitesimalScalar":
-        return cls(Polynomial((Fraction(q),)))
+        n = q.numerator
+        return _new((n,), (q.denominator,)) if n else _ZERO_SCALAR
 
     # --- structure ---------------------------------------------------
 
     def is_rational(self) -> bool:
-        return len(self.den.coeffs) == 1 and len(self.num.coeffs) <= 1
+        return len(self.den) == 1 and len(self.num) <= 1
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ScalarDomainError(f"{self} is not rational")
-        if self.num.is_zero():
+        if not self.num:
             return Fraction(0)
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return Fraction(self.num[0], self.den[0])
 
     def sign(self) -> int:
-        if self.num.is_zero():
+        if not self.num:
             return 0
-        return 1 if self.num.low_coeff() > 0 else -1
+        return 1 if self.num[_low(self.num)] > 0 else -1
 
     def valuation(self) -> int:
         """Lowest power of ``e`` in the series expansion; error on zero."""
-        if self.num.is_zero():
+        if not self.num:
             raise ScalarDomainError("valuation of zero is undefined")
-        return self.num.low_degree() - self.den.low_degree()
+        return _low(self.num) - _low(self.den)
 
     def standard_part(self) -> Fraction:
         """Coefficient of e^0; error when the element is unbounded."""
-        if self.num.is_zero():
+        if not self.num:
             return Fraction(0)
         v = self.valuation()
         if v < 0:
@@ -235,8 +364,8 @@ class InfinitesimalScalar:
             )
         if v > 0:
             return Fraction(0)
-        # canonical form puts the common low degree at 0 and den[0] == 1
-        return self.num.coeffs[0]
+        # coprime parts cannot both vanish at e = 0, so both low degrees are 0
+        return Fraction(self.num[0], self.den[0])
 
     # --- arithmetic ---------------------------------------------------
 
@@ -252,32 +381,34 @@ class InfinitesimalScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return InfinitesimalScalar(
-            self.num * o.den + o.num * self.den, self.den * o.den
-        )
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        return _new(*_canonical(*_sum(self.num, self.den, o.num, o.den)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return InfinitesimalScalar(-self.num, self.den)
+        return _new(tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return InfinitesimalScalar.__add__(self, -o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o - self
+        return InfinitesimalScalar.__sub__(o, self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return InfinitesimalScalar(self.num * o.num, self.den * o.den)
+        return _new(*_canonical(*_product(self.num, self.den, o.num, o.den)))
 
     __rmul__ = __mul__
 
@@ -285,27 +416,29 @@ class InfinitesimalScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.num.is_zero():
+        if not o.num:
             raise ZeroDivisionError("scalar division by zero")
-        return InfinitesimalScalar(self.num * o.den, self.den * o.num)
+        return _new(*_canonical(*_product(self.num, self.den, o.den, o.num)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return o / self
+        return InfinitesimalScalar.__truediv__(o, self)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
+        num, den = self.num, self.den
         if k < 0:
-            if self.num.is_zero():
+            if not num:
                 raise ZeroDivisionError("zero has no negative powers")
-            return InfinitesimalScalar(self.den, self.num) ** (-k)
-        out = InfinitesimalScalar.from_rational(1)
+            num, den, k = den, num, -k
+        out_num = out_den = _ONE
         for _ in range(k):
-            out = out * self
-        return out
+            out_num, out_den = _mul(out_num, num), _mul(out_den, den)
+        # powers of a coprime pair stay coprime, with joint content 1
+        return _new(*_canonical(out_num, out_den))
 
     # --- order --------------------------------------------------------
 
@@ -324,7 +457,7 @@ class InfinitesimalScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self - o).sign()
+        return _compare(self.num, self.den, o.num, o.den)
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -343,7 +476,7 @@ class InfinitesimalScalar:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num)
 
     def __str__(self) -> str:
         return format_scalar(self)
@@ -352,7 +485,20 @@ class InfinitesimalScalar:
         return format_scalar(self)
 
 
-EPSILON = InfinitesimalScalar(_P_EPS)
+_set_num = InfinitesimalScalar.num.__set__
+_set_den = InfinitesimalScalar.den.__set__
+
+
+def _new(num, den) -> InfinitesimalScalar:
+    """A scalar from a canonical pair, without re-reducing it in __init__."""
+    x = object.__new__(InfinitesimalScalar)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+_ZERO_SCALAR = _new(_ZERO, _ONE)
+EPSILON = _new((0, 1), _ONE)
 
 Scalar = Union[Fraction, InfinitesimalScalar]
 
@@ -363,45 +509,6 @@ def as_scalar(x: Union[int, Fraction, InfinitesimalScalar]) -> Scalar:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"not a scalar: {x!r}")
     return Fraction(x)
-
-
-def _lift(x: Scalar) -> InfinitesimalScalar:
-    return x if isinstance(x, InfinitesimalScalar) else InfinitesimalScalar.from_rational(x)
-
-
-def scalar_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Apply one of add/sub/mul/div to two scalars of either field."""
-    a, b = as_scalar(a), as_scalar(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            if b == 0:
-                raise ZeroDivisionError("scalar division by zero")
-            return a / b
-    else:
-        x, y = _lift(a), _lift(b)
-        if op == "add":
-            return x + y
-        if op == "sub":
-            return x - y
-        if op == "mul":
-            return x * y
-        if op == "div":
-            return x / y
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def scalar_compare(a: Scalar, b: Scalar) -> int:
-    """Total order on either field: -1, 0 or 1."""
-    a, b = as_scalar(a), as_scalar(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return (a > b) - (a < b)
-    return _lift(a)._cmp(_lift(b))
 
 
 def standard_part(x: Scalar) -> Fraction:
@@ -535,19 +642,6 @@ def parse_scalar(text: str) -> Scalar:
     return value
 
 
-def _int_pair(num: Polynomial, den: Polynomial):
-    """Scale out coefficient denominators for display; content made coprime."""
-    denoms = [c.denominator for c in num.coeffs + den.coeffs if c != 0]
-    scale = math.lcm(*denoms) if denoms else 1
-    ni = [int(c * scale) for c in num.coeffs]
-    di = [int(c * scale) for c in den.coeffs]
-    content = math.gcd(*(abs(c) for c in ni + di if c != 0))
-    if content > 1:
-        ni = [c // content for c in ni]
-        di = [c // content for c in di]
-    return ni, di
-
-
 def _poly_text(coeffs) -> str:
     parts = []
     for k, c in enumerate(coeffs):
@@ -581,13 +675,12 @@ def format_scalar(x: Scalar) -> str:
         x = x.as_rational()
     if isinstance(x, Fraction):
         return str(x)
-    ni, di = _int_pair(x.num, x.den)
-    num_text = _poly_text(ni)
-    if di == [1]:
+    num_text = _poly_text(x.num)
+    if x.den == _ONE:
         return num_text
-    den_text = _poly_text(di)
-    if not _is_bare(ni):
+    den_text = _poly_text(x.den)
+    if not _is_bare(x.num):
         num_text = f"({num_text})"
-    if not _is_bare(di):
+    if not _is_bare(x.den):
         den_text = f"({den_text})"
     return f"{num_text}/{den_text}"

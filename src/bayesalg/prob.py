@@ -196,11 +196,17 @@ def _extend_once(tower: Tower, dist: Distribution) -> Distribution:
                 "make the base distribution strictly positive first"
             )
         masses[(w, u)] = top_mass / block_mass[w]
-    out = Distribution(step.algebra, masses, dist.stage + 1)
-    # the embedded copy of the lower stage keeps its probabilities
-    for atom in dist.algebra.atoms:
-        assert prob_of(out, tower.push(dist.algebra.atom_element(atom), dist.stage, out.stage)) == dist.masses[atom]
-    return out
+    # the embedded copy of the lower stage keeps its probabilities; the
+    # image of w is exactly its block of pairs (w, u)
+    for w in dist.algebra.atoms:
+        total = sum((masses[(w, u)] for u in blocks.get(w, ())), Fraction(0))
+        if total != dist.masses[w]:
+            raise RuntimeError(
+                f"block rule broke the embedding at {atom_label(w)}: its"
+                f" pairs carry {format_scalar(total)}, not"
+                f" {format_scalar(dist.masses[w])}"
+            )
+    return Distribution(step.algebra, masses, dist.stage + 1)
 
 
 def extend_distribution(

@@ -235,3 +235,24 @@ def test_usage_errors_exit_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"masses": {"a": "1/2 +", "c": "1/4", "d": "1/4"}}, "unexpected end of input"),
+    ({"masses": {"a": "1/3", "c": "1/4", "d": "1/2"}}, "masses sum to 13/12, not 1"),
+    ({"masses": {"a": "-1/4", "c": "3/4", "d": "1/2"}}, "negative mass at a"),
+    ({"stage": 0}, "expected an object with a \"masses\" mapping"),
+    ({"stage": 3, "masses": {"a": "1/4", "c": "1/4", "d": "1/2"}},
+     "stage 3 is not a stage of the tower (0..0)"),
+], ids=["unparsable-mass", "sum-13/12", "negative-mass", "no-masses", "stage-3"])
+def test_bad_distribution_exits_two_with_one_line(files, capsys, payload, message):
+    path = files["dir"] / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["prob", files["tower"], str(path), "{a}"],
+                 ["verify", files["tower"], str(path)],
+                 ["lewis", files["algebra"], str(path), "{a,c}", "{a}"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err

@@ -21,20 +21,15 @@ keeps repeated conditioning consistent; in particular conditioning twice
 in a row on the same event adds no new atoms at all (the step is an atom
 bijection). A first conditioning keeps every pair, so the step grows the
 atom count to 2*m*m' where m and m' count the atoms inside and outside b.
-
-Extension order is either on demand (extend by the event you are about to
-condition on) or exhaustive: a diagonal schedule driven by the Cantor
-pairing walks every (stage, element) combination so that every event of
-every stage is eventually conditioned on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .boolalg import Atom, Element, FiniteBooleanAlgebra, atom_label, crop
+from .boolalg import Element, FiniteBooleanAlgebra, atom_label
 
 __all__ = [
     "Tower",
@@ -71,11 +66,10 @@ class Step:
     """How stage ``index`` arises from stage ``index - 1``."""
 
     index: int
-    kind: str  # "extend" or "trivial"
-    base: Optional[Element]  # element of the lower stage that was conditioned on
+    base: Element  # element of the lower stage that was conditioned on
     algebra: FiniteBooleanAlgebra
     psi: dict  # lower atom -> frozenset of upper atoms (its embedded image)
-    t: Optional[dict]  # pair-swap permutation on upper atoms; None for trivial
+    t: dict  # pair-swap permutation on upper atoms
     prior_step: Optional[int] = None  # step whose conditioning this repeats
     prior_negated: bool = False
 
@@ -157,8 +151,6 @@ class Tower:
 
     def transpose(self, stage: int, x: Element) -> Element:
         t = self.steps[stage - 1].t
-        if t is None:
-            raise ValueError(f"stage {stage} has no pair swap")
         return self.algebra(stage).element(t[a] for a in x.atoms)
 
     def mirror_closure(self, stage: int, x: Element) -> Element:
@@ -168,7 +160,7 @@ class Tower:
     # --- extension --------------------------------------------------------
 
     def latest_matching_step(self, b: Element) -> Optional[tuple[int, bool]]:
-        """Most recent extend step whose base embeds to b or its complement.
+        """Most recent step whose base embeds to b or its complement.
 
         Returns (stage index, negated flag) or None. b must be an element
         of the current top algebra.
@@ -176,21 +168,20 @@ class Tower:
         top = self.top_index
         comp = ~b
         for idx in range(top, 0, -1):
-            step = self.steps[idx - 1]
-            if step.kind != "extend":
-                continue
-            image = self.push(step.base, idx - 1, top)
+            image = self.push(self.steps[idx - 1].base, idx - 1, top)
             if image == b:
                 return idx, False
             if image == comp:
                 return idx, True
         return None
 
-    def _partner_blocks(self, b: Element) -> dict:
-        """For each top atom, the set of allowed second components."""
+    def _partner_blocks(self, b: Element, prior: Optional[tuple[int, bool]]) -> dict:
+        """For each top atom, the set of allowed second components.
+
+        ``prior`` is ``latest_matching_step(b)``.
+        """
         top = self.top_index
         algebra = self.top
-        prior = self.latest_matching_step(b)
         if prior is None:
             inside = b.atoms
             outside = algebra.top.atoms - inside
@@ -220,26 +211,25 @@ class Tower:
         algebra._require_own(b)
         if not b.atoms or b.atoms == frozenset(algebra.atoms):
             raise ValueError("conditioning event must be nontrivial")
-        blocks = self._partner_blocks(b)
+        prior = self.latest_matching_step(b)
+        blocks = self._partner_blocks(b, prior)
         count = sum(len(v) for v in blocks.values())
         if count > self.max_atoms:
             raise TowerGrowthError(
                 f"extension needs {count} atoms, budget is {self.max_atoms}"
             )
-        prior = self.latest_matching_step(b)
         order = {a: i for i, a in enumerate(algebra.atoms)}
-        pairs = [
-            (w, u)
-            for w in algebra.atoms
-            for u in sorted(blocks[w], key=order.__getitem__)
-        ]
+        pairs = []
+        psi = {}
+        for w in algebra.atoms:
+            row = [(w, u) for u in sorted(blocks[w], key=order.__getitem__)]
+            pairs.extend(row)
+            psi[w] = frozenset(row)
         upper = FiniteBooleanAlgebra(pairs)
-        psi = {a: frozenset(p for p in pairs if p[0] == a) for a in algebra.atoms}
         t = {(w, u): (u, w) for (w, u) in pairs}
         assert all(v in upper._atom_index for v in t.values())
         step = Step(
             index=self.top_index + 1,
-            kind="extend",
             base=b,
             algebra=upper,
             psi=psi,
@@ -251,20 +241,6 @@ class Tower:
         # the swap exchanges the embedded event and its complement
         image = self.push(b, step.index - 1, step.index)
         assert self.transpose(step.index, image) == ~image
-        return step.index
-
-    def extend_trivial(self, base: Optional[Element] = None) -> int:
-        """Append a no-op stage (used by the schedule for degenerate events)."""
-        algebra = self.top
-        step = Step(
-            index=self.top_index + 1,
-            kind="trivial",
-            base=base,
-            algebra=algebra,
-            psi={a: frozenset((a,)) for a in algebra.atoms},
-            t=None,
-        )
-        self.steps.append(step)
         return step.index
 
     # --- conditionals -------------------------------------------------------
@@ -311,46 +287,17 @@ class Tower:
         z = y_low & x_low
         return self.push(self.mirror_closure(k, z), k, self.top_index)
 
-    # --- exhaustive schedule ---------------------------------------------
-
-    def scheduled_event(self, n: Optional[int] = None) -> Optional[Element]:
-        """The event the n-th step of the exhaustive schedule conditions on.
-
-        Defaults to the next step. The Cantor unpairing of n picks a stage
-        and an element index inside that stage's enumeration; indices that
-        point past the current tower or at a degenerate event yield None,
-        meaning the step is a no-op.
-        """
-        if n is None:
-            n = self.top_index
-        stage, elem_index = cantor_unpair(n)
-        if stage > self.top_index:
-            return None
-        algebra = self.algebra(stage)
-        if elem_index >= algebra.size():
-            return None
-        found = algebra.element_at(elem_index)
-        lifted = self.push(found, stage, self.top_index)
-        if not lifted.atoms or lifted.atoms == frozenset(self.top.atoms):
-            return None
-        return lifted
-
-    def extend_scheduled(self) -> tuple[int, Optional[Element]]:
-        """Run the next schedule step; returns (new stage index, event or None)."""
-        event = self.scheduled_event()
-        if event is None:
-            return self.extend_trivial(), None
-        return self.extend(event), event
-
     # --- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        steps = []
-        for step in self.steps:
-            entry = {"kind": step.kind, "atom_count": len(step.algebra.atoms)}
-            if step.base is not None:
-                entry["base"] = [atom_label(a) for a in step.base]
-            steps.append(entry)
+        steps = [
+            {
+                "kind": "extend",
+                "atom_count": len(step.algebra.atoms),
+                "base": [atom_label(a) for a in step.base],
+            }
+            for step in self.steps
+        ]
         return {
             "atoms": [atom_label(a) for a in self.base.atoms],
             "max_atoms": self.max_atoms,
@@ -359,22 +306,14 @@ class Tower:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tower":
-        from .boolalg import parse_element
-
         tower = cls(
             FiniteBooleanAlgebra.from_json(data),
             max_atoms=data.get("max_atoms", 4096),
         )
         for entry in data.get("steps", []):
-            base = None
-            if "base" in entry:
-                base = parse_element(tower.top, "{" + ",".join(entry["base"]) + "}")
-            if entry["kind"] == "extend":
-                tower.extend(base)
-            elif entry["kind"] == "trivial":
-                tower.extend_trivial(base)
-            else:
+            if entry["kind"] != "extend":
                 raise ValueError(f"unknown step kind {entry['kind']!r}")
+            tower.extend(_labelled_element(tower.top, entry["base"]))
             recorded = entry.get("atom_count")
             actual = len(tower.top.atoms)
             if recorded is not None and recorded != actual:
@@ -387,9 +326,6 @@ class Tower:
     def describe(self) -> str:
         lines = [f"stage 0: {len(self.base.atoms)} atoms"]
         for step in self.steps:
-            if step.kind == "trivial":
-                lines.append(f"stage {step.index}: no-op")
-                continue
             tag = ""
             if step.prior_step is not None:
                 side = "complement of " if step.prior_negated else ""
@@ -399,6 +335,17 @@ class Tower:
                 f"{len(step.algebra.atoms)} atoms{tag}"
             )
         return "\n".join(lines)
+
+
+def _labelled_element(algebra: FiniteBooleanAlgebra, labels) -> Element:
+    """The element whose atoms carry these labels, each matched on its own."""
+    if not (isinstance(labels, list)
+            and all(isinstance(label, str) for label in labels)):
+        raise ValueError(f"a step base must be a list of atom labels, got {labels!r}")
+    for label in labels:
+        if label not in algebra._label_map:
+            raise ValueError(f"unknown atom {label!r} in a step base")
+    return algebra.element(algebra._label_map[label] for label in labels)
 
 
 # --- law checking ----------------------------------------------------------
@@ -417,10 +364,12 @@ def _conditional_atom_images(tower: Tower, x: Element) -> tuple["Tower", int, di
     return fork, new, images
 
 
+_EXHAUSTIVE_ATOM_LIMIT = 8  # atoms up to which check_bayes_axioms tries every element
+
+
 def check_bayes_axioms(
     tower: Tower,
     xs: Optional[list[Element]] = None,
-    exhaustive_atom_limit: int = 8,
     sample_elements: int = 32,
     seed: int = 0,
 ) -> list[str]:
@@ -437,9 +386,11 @@ def check_bayes_axioms(
       * introspective: conditioning the result on x again, or on the
         complement of x, changes nothing.
 
-    Algebras small enough are checked on every element; larger ones on a
-    seeded sample. Returns a list of human-readable violations, empty when
-    every law holds.
+    Algebras of at most eight atoms are checked on every element; larger
+    ones on a sample seeded by ``seed`` and, for the y pool of each x, by
+    the bitmask index of x, so the sample is the same in every process.
+    Returns a list of human-readable violations, empty when every law
+    holds.
     """
     import random
 
@@ -447,7 +398,7 @@ def check_bayes_axioms(
     top, bottom = algebra.top, algebra.bottom
     n = len(algebra.atoms)
     if xs is None:
-        if n <= exhaustive_atom_limit:
+        if n <= _EXHAUSTIVE_ATOM_LIMIT:
             xs = [x for x in algebra.elements() if x != bottom and x != top]
         else:
             rng = random.Random(seed)
@@ -456,8 +407,8 @@ def check_bayes_axioms(
                 index = rng.randrange(1, algebra.size() - 1)
                 xs.append(algebra.element_at(index))
 
-    def element_pool(rng_seed: int):
-        if n <= exhaustive_atom_limit:
+    def element_pool(rng_seed: str):
+        if n <= _EXHAUSTIVE_ATOM_LIMIT:
             return list(algebra.elements())
         rng = random.Random(rng_seed)
         pool = [
@@ -490,7 +441,7 @@ def check_bayes_axioms(
             if not images[a]:
                 violations.append(f"[{x}]- collapses atom {atom_label(a)}")
         lift_x = fork.push(x, new - 1, new)
-        pool = element_pool(hash((x.atoms, seed)) & 0xFFFF)
+        pool = element_pool(f"{algebra.index_of(x)}:{seed}")
         for y in pool:
             fy = f(y)
             if lift_x & fy != lift_x & fork.push(y, new - 1, new):

@@ -5,7 +5,7 @@ every element is a join of atoms and is represented here as a frozenset of
 them. Atoms are either plain string names or, for algebras produced by the
 conditional-extension construction, nested pairs (tuples) of atoms of an
 earlier algebra. The atom order fixes a bitmask enumeration of elements
-(index 0 is bottom, all-ones is top) used by the lazy schedulers.
+(index 0 is bottom, all-ones is top).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ Exit codes: 0 success or pass, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -55,7 +56,9 @@ def _load_tower(path: str, max_atoms: Optional[int]) -> Tower:
     data = _read_json(path)
     try:
         tower = Tower.from_json(data)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
+        raise UsageError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
     if max_atoms is not None:
         tower.max_atoms = max_atoms
@@ -76,10 +79,6 @@ def _load_distribution(tower: Tower, path: str) -> Distribution:
     data = _read_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("masses"), dict):
         raise UsageError(f"{path}: expected an object with a \"masses\" mapping")
-    stage = data.get("stage", 0)
-    if type(stage) is not int or not 0 <= stage <= tower.top_index:
-        raise UsageError(f"{path}: stage {stage!r} is not a stage of the tower"
-                         f" (0..{tower.top_index})")
     try:
         return distribution_from_json(tower, data)
     except (TypeError, ValueError) as exc:
@@ -385,7 +384,7 @@ def _dbl_corpus(args) -> int:
 
 
 def cmd_dbl(args) -> int:
-    return args.dbl_func(args)
+    return globals()["_dbl_" + args.dbl_command](args)
 
 
 def cmd_pairing(args) -> int:
@@ -414,7 +413,15 @@ def _add_max_atoms(parser) -> None:
                         help="growth guard for tower extension")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    A subcommand maps to its handler by name (``cmd_<command>``,
+    ``_dbl_<command>``), looked up when it runs, so the parser holds no
+    function objects and a handler replaced on the module is the one
+    called.
+    """
     parser = argparse.ArgumentParser(
         prog="bayesalg",
         description="Conditional extensions of finite Boolean algebras.")
@@ -424,14 +431,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra", help="JSON file with an \"atoms\" list")
     p.add_argument("-o", "--output", help="tower dump path (default: stdout)")
     _add_max_atoms(p)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("extend", help="extend a tower by an event")
     p.add_argument("tower")
     p.add_argument("element", help="event literal at the top stage, e.g. '{a,c}'")
     p.add_argument("-o", "--output", help="dump path (default: in place)")
     _add_max_atoms(p)
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("cond", help="conditional event [x]y and its stage")
     p.add_argument("tower")
@@ -440,7 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "fresh"), default="auto")
     _add_format(p)
     _add_max_atoms(p)
-    p.set_defaults(func=cmd_cond)
 
     p = sub.add_parser("prob", help="probability of an event or conditional")
     p.add_argument("tower")
@@ -449,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=("rational", "eps"), default="rational")
     _add_format(p)
     _add_max_atoms(p)
-    p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("verify", help="extension axioms and probability law")
     p.add_argument("tower")
@@ -457,7 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=("rational", "eps"), default="rational")
     _add_format(p)
     _add_max_atoms(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("lewis", help="search for an event carrying P(y|x)")
     p.add_argument("algebra")
@@ -465,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x")
     p.add_argument("y")
     _add_format(p)
-    p.set_defaults(func=cmd_lewis)
 
     p = sub.add_parser("dbl", help="sequent logic: eval, search, check, corpus")
     dbl_sub = p.add_subparsers(dest="dbl_command", required=True)
@@ -477,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mode", choices=("auto", "fresh"), default="auto")
     _add_format(q)
     _add_max_atoms(q)
-    q.set_defaults(func=cmd_dbl, dbl_func=_dbl_eval)
 
     q = dbl_sub.add_parser("search", help="hunt for refuting valuations")
     q.add_argument("file", help="one sequent per line")
@@ -486,20 +486,16 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     _add_format(q)
     _add_max_atoms(q)
-    q.set_defaults(func=cmd_dbl, dbl_func=_dbl_search)
 
     q = dbl_sub.add_parser("check", help="validate derivation files")
     q.add_argument("files", nargs="+")
     _add_format(q)
-    q.set_defaults(func=cmd_dbl, dbl_func=_dbl_check)
 
     q = dbl_sub.add_parser("corpus", help="list or dump bundled derivations")
     q.add_argument("name", nargs="?")
-    q.set_defaults(func=cmd_dbl, dbl_func=_dbl_corpus)
 
     p = sub.add_parser("pairing", help="Cantor pair (two args) or unpair (one)")
     p.add_argument("numbers", type=int, nargs="+")
-    p.set_defaults(func=cmd_pairing)
 
     return parser
 
@@ -511,7 +507,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

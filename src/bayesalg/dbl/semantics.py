@@ -33,7 +33,6 @@ __all__ = [
     "evaluate",
     "holds",
     "random_valuation",
-    "valuation_text",
 ]
 
 
@@ -116,8 +115,3 @@ def random_valuation(algebra: FiniteBooleanAlgebra, names: Iterable[str],
     size = algebra.size()
     return {name: algebra.element_at(rng.randrange(size))
             for name in sorted(names)}
-
-
-def valuation_text(assignment: Dict[str, Element]) -> str:
-    return ", ".join(f"{name} = {value}"
-                     for name, value in sorted(assignment.items()))

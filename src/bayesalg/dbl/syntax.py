@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
 __all__ = [
-    "AtomProp",
     "BOT",
     "Bot",
     "Cond",
@@ -58,9 +57,7 @@ __all__ = [
     "is_top",
     "neg",
     "parse_formula",
-    "parse_prop",
     "parse_sequent",
-    "print_prop",
     "subformulas",
 ]
 
@@ -380,9 +377,3 @@ def parse_sequent(text: str) -> Sequent:
     if kind != "end":
         raise FormulaParseError(f"unexpected {value!r}", pos)
     return tuple(parts)
-
-
-# Alternate names for the same operations.
-AtomProp = Var
-parse_prop = parse_formula
-print_prop = format_formula

@@ -59,7 +59,6 @@ __all__ = [
     "extend_distribution",
     "verify_conditional_law",
     "lewis_candidates",
-    "lewis_search",
     "distribution_to_json",
     "distribution_from_json",
 ]
@@ -175,8 +174,6 @@ def standard_project(dist: Distribution) -> Distribution:
 
 def _extend_once(tower: Tower, dist: Distribution) -> Distribution:
     step = tower.step(dist.stage + 1)
-    if step.kind == "trivial":
-        return Distribution(step.algebra, dict(dist.masses), dist.stage + 1)
     blocks: dict = {}
     for (w, u) in step.algebra.atoms:
         blocks.setdefault(w, []).append(u)
@@ -243,7 +240,6 @@ def verify_conditional_law(
     dist: Distribution,
     x: Element,
     y: Element,
-    mode: str = "auto",
     positivity: str = "error",
 ) -> dict:
     """Check P([x]y) * P(x) == P(x & y) and marginal preservation, exactly.
@@ -256,7 +252,7 @@ def verify_conditional_law(
     at_top = extend_distribution(fork, dist, fork.top_index, positivity)
     if positivity != "error" and not at_top.is_strictly_positive():
         at_top = make_tangible(at_top, mode=positivity)
-    value, stage = fork.conditional(x, y, mode=mode)
+    value, stage = fork.conditional(x, y)
     at_value = extend_distribution(fork, at_top, stage, positivity)
     p_x = prob_of(at_top, x)
     p_xy = prob_of(at_top, x & y)
@@ -306,33 +302,6 @@ def lewis_candidates(
     return out
 
 
-def lewis_search(
-    algebra: FiniteBooleanAlgebra,
-    dists: list[Distribution],
-    x: Element,
-    y: Element,
-) -> Optional[Element]:
-    """Brute-force hunt for one element carrying P(y|x) in every dist.
-
-    y itself is tried first, then every element in enumeration order;
-    None means no element of the base algebra can stand in for the
-    conditional under all supplied distributions simultaneously.
-    """
-    def fits(candidate: Element) -> bool:
-        return all(
-            prob_of(d, candidate) * prob_of(d, x) == prob_of(d, x & y)
-            for d in dists
-        )
-
-    if fits(y):
-        return y
-    for k in range(algebra.size()):
-        candidate = algebra.element_at(k)
-        if fits(candidate):
-            return candidate
-    return None
-
-
 def distribution_to_json(dist: Distribution) -> dict:
     return {
         "stage": dist.stage,
@@ -345,5 +314,7 @@ def distribution_to_json(dist: Distribution) -> dict:
 
 def distribution_from_json(tower: Tower, data: dict) -> Distribution:
     stage = data.get("stage", 0)
-    algebra = tower.algebra(stage)
-    return base_distribution(algebra, dict(data["masses"]), stage)
+    if type(stage) is not int or not 0 <= stage <= tower.top_index:
+        raise ValueError(f"stage {stage!r} is not a stage of the tower"
+                         f" (0..{tower.top_index})")
+    return base_distribution(tower.algebra(stage), dict(data["masses"]), stage)

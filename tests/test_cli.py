@@ -256,3 +256,26 @@ def test_bad_distribution_exits_two_with_one_line(files, capsys, payload, messag
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert message in err
+
+
+@pytest.mark.parametrize("step, message", [
+    ({"kind": "extend", "atom_count": 4}, "missing key 'base'"),
+    ({"kind": "extend", "atom_count": 4, "base": ["a,c"]},
+     "unknown atom 'a,c' in a step base"),
+    ({"kind": "extend", "atom_count": 4, "base": "ac"},
+     "a step base must be a list of atom labels, got 'ac'"),
+    ({"kind": "trivial", "atom_count": 3}, "unknown step kind 'trivial'"),
+    ("extend", "string indices must be integers"),
+], ids=["no-base", "joined-labels", "string-base", "trivial-kind", "step-not-object"])
+def test_bad_tower_dump_exits_two_with_one_line(files, capsys, step, message):
+    path = files["dir"] / "bad-tower.json"
+    path.write_text(json.dumps({"atoms": ["a", "c", "d"], "steps": [step]}))
+    for argv in (["cond", str(path), "{a}", "{c}"],
+                 ["prob", str(path), files["dist"], "{a}"],
+                 ["extend", str(path), "{a}"],
+                 ["verify", str(path), files["dist"]]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert message in err

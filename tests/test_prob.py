@@ -15,7 +15,6 @@ from bayesalg.prob import (
     distribution_to_json,
     extend_distribution,
     lewis_candidates,
-    lewis_search,
     make_tangible,
     prob_of,
     standard_project,
@@ -68,21 +67,11 @@ def test_no_base_element_works_for_both_distributions():
         parse_element(tower.top, "{d}"),
     ]
     assert lewis_candidates(tower.top, x, y, [dist1, dist2]) == []
-    assert lewis_search(tower.top, [dist1, dist2], x, y) is None
     # while the extension element answers both at once
     for dist in (dist1, dist2):
         report = verify_conditional_law(tower.fork(), dist, x, y)
         assert report["product_matches"]
         assert report["independent_of_complement"]
-
-
-def test_lewis_search_prefers_the_body_itself():
-    tower, dist, x, y = worked_example(["1/4", "1/4", "1/2"])
-    top = tower.top.top
-    assert lewis_search(tower.top, [dist], top, y) == y
-    found = lewis_search(tower.top, [dist], x, y)
-    assert found is not None
-    assert prob_of(dist, found) * prob_of(dist, x) == prob_of(dist, x & y)
 
 
 def test_null_blocks_raise_unless_perturbed():
@@ -162,3 +151,14 @@ def test_distribution_json_round_trip():
     again = distribution_from_json(tower, data)
     assert again.masses == lifted.masses
     assert parse_scalar(data["masses"]["(d,a)"]) == EPSILON / 6
+
+
+@pytest.mark.parametrize("stage", [-1, 3, "1"], ids=["negative", "above-top", "text"])
+def test_distribution_from_json_rejects_stages_outside_the_tower(stage):
+    tower, dist, x, y = worked_example(["1/4", "1/4", "1/2"])
+    tower.extend(x)
+    tower.extend(tower.push(y, 0, 1))
+    data = distribution_to_json(extend_distribution(tower, dist, 1))
+    data["stage"] = stage
+    with pytest.raises(ValueError, match=r"is not a stage of the tower \(0\.\.2\)"):
+        distribution_from_json(tower, data)

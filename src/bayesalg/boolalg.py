@@ -163,7 +163,11 @@ class FiniteBooleanAlgebra:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteBooleanAlgebra":
-        return cls(parse_atom_label(label) for label in data["atoms"])
+        labels = data["atoms"]
+        if not (isinstance(labels, list)
+                and all(isinstance(label, str) for label in labels)):
+            raise ValueError(f"\"atoms\" must be a list of atom labels, got {labels!r}")
+        return cls(parse_atom_label(label) for label in labels)
 
 
 class Element:

@@ -14,7 +14,7 @@ Consistency with the stages below fixes only the total mass of each
 block, not its interior split. The block rule is our completion of that
 underdetermined induction: it spreads every block in product form, the
 one choice that makes the second coordinate an independent re-run of
-the first, and verify_conditional_law plus the acceptance tests pin its
+the first, and check_conditional_laws plus the acceptance tests pin its
 consequences (product law, marginal preservation, independence from the
 complement) across whole tower families.
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .bayes import Tower
+from .bayes import Tower, _conditional_atom_images
 from .boolalg import Atom, Element, FiniteBooleanAlgebra, atom_label
 from .field import (
     EPSILON,
@@ -58,6 +58,7 @@ __all__ = [
     "standard_project",
     "extend_distribution",
     "verify_conditional_law",
+    "check_conditional_laws",
     "lewis_candidates",
     "distribution_to_json",
     "distribution_from_json",
@@ -129,9 +130,13 @@ def uniform_distribution(algebra: FiniteBooleanAlgebra, stage: int = 0) -> Distr
 
 def prob_of(dist: Distribution, x: Element) -> Scalar:
     dist.algebra._require_own(x)
+    return _total(dist.masses, x.atoms)
+
+
+def _total(masses: dict, atoms) -> Scalar:
     total: Scalar = Fraction(0)
-    for atom in x.atoms:
-        total = total + dist.masses[atom]
+    for atom in atoms:
+        total = total + masses[atom]
     return total
 
 
@@ -235,6 +240,94 @@ def extend_distribution(
     return current
 
 
+def _distribution_at_top(
+    tower: Tower, dist: Distribution, positivity: str
+) -> Distribution:
+    """dist extended to the top, made strictly positive unless positivity is "error"."""
+    at_top = extend_distribution(tower, dist, tower.top_index, positivity)
+    if positivity != "error" and not at_top.is_strictly_positive():
+        at_top = make_tangible(at_top, mode=positivity)
+    return at_top
+
+
+def _conditional_law(
+    tower: Tower,
+    at_top: Distribution,
+    x: Element,
+    ys: list[Element],
+    positivity: str,
+) -> list:
+    """Check the conditional law of [x]y for each y in ys, extending by x once.
+
+    at_top is the distribution at the tower's top stage. [x]y is read off
+    as ``Tower.conditional`` in mode "auto" finds it: y itself for x bottom
+    or top, the value at the top when x repeats an earlier step and that
+    step answers y, and otherwise the element of the extension by x. That
+    extension and its distribution are built once, only if some y needs
+    them. There [x]- is a Boolean homomorphism whose atom images are
+    pairwise disjoint (check_bayes_axioms checks that they partition the
+    extension), so P([x]y) and P([x]y & ~x) are sums over y's atoms of
+    per-atom masses, and marginal preservation depends on x alone.
+
+    Returns one report per y, with the keys of verify_conditional_law but
+    ``p_conditional_std``; where [x]y needs the extension and its block
+    rule meets a null block, the NullEventError takes the report's place.
+    The tower is not changed.
+    """
+    top = tower.top
+    p_x = prob_of(at_top, x)
+    p_not_x = prob_of(at_top, ~x)
+    if not x.atoms or x.atoms == frozenset(top.atoms):
+        values = list(ys)
+    else:
+        prior = tower.latest_matching_step(x)
+        values = [tower._shortcut(prior, y) for y in ys]
+
+    fresh = null = None
+    if any(value is None for value in values):
+        fork, new, images = _conditional_atom_images(tower, x)
+        try:
+            at_new = extend_distribution(fork, at_top, new, positivity)
+        except NullEventError as exc:
+            null = exc
+        else:
+            marginals = all(
+                prob_of(at_new, fork.push(top.atom_element(a), new - 1, new))
+                == at_top.masses[a]
+                for a in top.atoms
+            )
+            # corollary: the conditional is independent of the complement of x
+            not_x = fork.push(~x, new - 1, new)
+            value_mass = {a: prob_of(at_new, images[a]) for a in top.atoms}
+            not_x_mass = {a: prob_of(at_new, images[a] & not_x) for a in top.atoms}
+            fresh = new, marginals, value_mass, not_x_mass
+
+    reports = []
+    for y, value in zip(ys, values):
+        if value is not None:
+            stage, marginals = tower.top_index, True
+            p_value = prob_of(at_top, value)
+            p_value_not_x = prob_of(at_top, ~x & value)
+        elif fresh is None:
+            reports.append(null)
+            continue
+        else:
+            stage, marginals, value_mass, not_x_mass = fresh
+            p_value = _total(value_mass, y.atoms)
+            p_value_not_x = _total(not_x_mass, y.atoms)
+        p_xy = _total(at_top.masses, x.atoms & y.atoms)
+        reports.append({
+            "stage": stage,
+            "p_x": p_x,
+            "p_x_and_y": p_xy,
+            "p_conditional": p_value,
+            "product_matches": p_value * p_x == p_xy,
+            "marginals_preserved": marginals,
+            "independent_of_complement": p_value * p_not_x == p_value_not_x,
+        })
+    return reports
+
+
 def verify_conditional_law(
     tower: Tower,
     dist: Distribution,
@@ -246,37 +339,62 @@ def verify_conditional_law(
 
     x and y are elements of the tower's top algebra; dist may sit at any
     stage at or below the top. Works on a fork, so the tower is unchanged.
-    Returns a report with the probabilities involved and two booleans.
+    Returns a report with the probabilities involved and three booleans.
     """
     fork = tower.fork()
-    at_top = extend_distribution(fork, dist, fork.top_index, positivity)
-    if positivity != "error" and not at_top.is_strictly_positive():
-        at_top = make_tangible(at_top, mode=positivity)
-    value, stage = fork.conditional(x, y)
-    at_value = extend_distribution(fork, at_top, stage, positivity)
-    p_x = prob_of(at_top, x)
-    p_xy = prob_of(at_top, x & y)
-    p_value = prob_of(at_value, value)
-    marginals = all(
-        prob_of(at_value, fork.push(at_top.algebra.atom_element(a), at_top.stage, stage))
-        == at_top.masses[a]
-        for a in at_top.algebra.atoms
-    )
-    # corollary: the conditional is independent of the complement of x
-    not_x = fork.push(~x, at_top.stage, stage)
-    independent = (
-        p_value * prob_of(at_top, ~x) == prob_of(at_value, not_x & value)
-    )
-    return {
-        "stage": stage,
-        "p_x": p_x,
-        "p_x_and_y": p_xy,
-        "p_conditional": p_value,
-        "p_conditional_std": standard_part(p_value),
-        "product_matches": p_value * p_x == p_xy,
-        "marginals_preserved": marginals,
-        "independent_of_complement": independent,
-    }
+    at_top = _distribution_at_top(fork, dist, positivity)
+    [report] = _conditional_law(fork, at_top, x, [y], positivity)
+    if isinstance(report, NullEventError):
+        raise report
+    report["p_conditional_std"] = standard_part(report["p_conditional"])
+    return report
+
+
+_LAWS = (
+    ("product", "product_matches", "product_failures"),
+    ("marginal", "marginals_preserved", "marginal_failures"),
+    ("independence", "independent_of_complement", "independence_failures"),
+)
+_WITNESS_LIMIT = 5  # failing (law, x, y) triples kept by check_conditional_laws
+
+
+def check_conditional_laws(
+    tower: Tower,
+    dist: Distribution,
+    xs: list[Element],
+    positivity: str = "error",
+) -> dict:
+    """The checks of verify_conditional_law for every x in xs and every y.
+
+    y runs over the whole top algebra, and each x costs one extension of
+    the tower and of the distribution. A pair whose extension meets a
+    null block is counted as skipped. Returns the counts ``pairs``,
+    ``product_failures``, ``marginal_failures``, ``independence_failures``
+    and ``skipped_null``, and ``witnesses``: the first few failing
+    (law, x, y) triples, in the order of xs and then of the top's
+    elements. Works on a fork, so the tower is unchanged.
+    """
+    fork = tower.fork()
+    ys = list(fork.top.elements())
+    out = dict.fromkeys(["pairs", "skipped_null"] + [key for _, _, key in _LAWS], 0)
+    witnesses = out["witnesses"] = []
+    try:
+        at_top = _distribution_at_top(fork, dist, positivity)
+    except NullEventError:
+        out["pairs"] = out["skipped_null"] = len(xs) * len(ys)
+        return out
+    for x in xs:
+        for y, report in zip(ys, _conditional_law(fork, at_top, x, ys, positivity)):
+            out["pairs"] += 1
+            if isinstance(report, NullEventError):
+                out["skipped_null"] += 1
+                continue
+            for law, holds, failures in _LAWS:
+                if not report[holds]:
+                    out[failures] += 1
+                    if len(witnesses) < _WITNESS_LIMIT:
+                        witnesses.append((law, x, y))
+    return out
 
 
 def lewis_candidates(

@@ -59,6 +59,19 @@ def test_build_rejects_bad_algebras(tmp_path, capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("atoms", ["acd", ["a", 3]], ids=["string", "number"])
+def test_atoms_must_be_a_list_of_labels(tmp_path, files, capsys, atoms):
+    path = tmp_path / "bad-algebra.json"
+    path.write_text(json.dumps({"atoms": atoms}))
+    for argv in (["build", str(path)],
+                 ["lewis", str(path), files["dist"], "{a}", "{c}"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert f'"atoms" must be a list of atom labels, got {atoms!r}' in err
+
+
 def test_extend_updates_in_place(files, capsys):
     capsys.readouterr()
     assert main(["extend", files["tower"], "{a,c}"]) == 0
@@ -136,6 +149,28 @@ def test_verify_eps_handles_null_blocks(files, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["skipped_null"] == 0
+    assert report["witnesses"] == []
+
+
+def test_verify_json_names_failing_witnesses(files, capsys, monkeypatch):
+    from bayesalg import prob
+
+    images_of = prob._conditional_atom_images
+
+    def wrong_image_of_a(tower, x):
+        fork, new, images = images_of(tower, x)
+        images["a"] = fork.algebra(new).bottom
+        return fork, new, images
+
+    monkeypatch.setattr(prob, "_conditional_atom_images", wrong_image_of_a)
+    capsys.readouterr()
+    assert main(["verify", files["tower"], files["dist"], "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False and report["axiom_failures"] == []
+    assert 0 < len(report["witnesses"]) <= 5
+    assert report["witnesses"][0] == {"law": "product", "x": "{a}", "y": "{a}"}
+    assert main(["verify", files["tower"], files["dist"]]) == 1
+    assert capsys.readouterr().out.startswith("axioms: ok\nconditional law: 64 pairs, ")
 
 
 def test_lewis_reports_no_shared_candidate(files, capsys):
@@ -279,3 +314,37 @@ def test_bad_tower_dump_exits_two_with_one_line(files, capsys, step, message):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cond", "@tower", "{a}", "{c}", "--max-atoms", "3"],
+     "extension needs 4 atoms, budget is 3"),
+    (["prob", "@tower", "@dist", "[{a}]{c}", "--max-atoms", "3"],
+     "extension needs 4 atoms, budget is 3"),
+    (["verify", "@tower", "@dist", "--max-atoms", "3"],
+     "extension needs 4 atoms, budget is 3"),
+    (["extend", "@tower", "{a}", "--max-atoms", "3"],
+     "extension needs 4 atoms, budget is 3"),
+    (["extend", "@tower", "{}"], "conditioning event must be nontrivial"),
+    (["extend", "@tower", "{a,c,d}"], "conditioning event must be nontrivial"),
+], ids=["cond", "prob", "verify", "extend", "extend-bottom", "extend-top"])
+def test_growth_guard_and_trivial_events_exit_two(files, capsys, argv, message):
+    argv = [files[arg[1:]] if arg.startswith("@") else arg for arg in argv]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_dump_over_its_own_budget_exits_two(files, capsys):
+    path = files["dir"] / "small-budget.json"
+    path.write_text(json.dumps({
+        "atoms": ["a", "c", "d"], "max_atoms": 2,
+        "steps": [{"kind": "extend", "atom_count": 4, "base": ["a"]}]}))
+    for argv in (["cond", str(path), "{a}", "{c}"],
+                 ["prob", str(path), files["dist"], "{a}"],
+                 ["extend", str(path), "{a}"],
+                 ["verify", str(path), files["dist"]]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: extension needs 4 atoms, budget is 2\n")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bayesalg import prob
 from bayesalg.bayes import Tower
 from bayesalg.boolalg import FiniteBooleanAlgebra, parse_element
 from bayesalg.field import EPSILON, parse_scalar, valuation
@@ -11,6 +12,7 @@ from bayesalg.prob import (
     Distribution,
     NullEventError,
     base_distribution,
+    check_conditional_laws,
     distribution_from_json,
     distribution_to_json,
     extend_distribution,
@@ -162,3 +164,103 @@ def test_distribution_from_json_rejects_stages_outside_the_tower(stage):
     data["stage"] = stage
     with pytest.raises(ValueError, match=r"is not a stage of the tower \(0\.\.2\)"):
         distribution_from_json(tower, data)
+
+
+def _per_pair_laws(tower, dist, xs, positivity):
+    """The counts of check_conditional_laws, one pair at a time, and the
+    (x, y, stage, P([x]y)) of every pair not skipped."""
+    counts = dict.fromkeys(["pairs", "product_failures", "marginal_failures",
+                            "independence_failures", "skipped_null"], 0)
+    answers = []
+    for x in xs:
+        for y in tower.top.elements():
+            counts["pairs"] += 1
+            fork = tower.fork()
+            try:
+                at_top = extend_distribution(fork, dist, fork.top_index, positivity)
+                if positivity != "error" and not at_top.is_strictly_positive():
+                    at_top = make_tangible(at_top, positivity)
+                value, stage = fork.conditional(x, y)
+                at_value = extend_distribution(fork, at_top, stage, positivity)
+            except NullEventError:
+                counts["skipped_null"] += 1
+                continue
+            p_value = prob_of(at_value, value)
+            answers.append((x, y, stage, p_value))
+            if p_value * prob_of(at_top, x) != prob_of(at_top, x & y):
+                counts["product_failures"] += 1
+            if any(prob_of(at_value, fork.push(at_top.algebra.atom_element(a),
+                                               at_top.stage, stage))
+                   != at_top.masses[a] for a in at_top.algebra.atoms):
+                counts["marginal_failures"] += 1
+            not_x = fork.push(~x, at_top.stage, stage)
+            if p_value * prob_of(at_top, ~x) != prob_of(at_value, not_x & value):
+                counts["independence_failures"] += 1
+    return counts, answers
+
+
+def _towers():
+    """(tower, xs): stage 0, stage 1, and a stage 2 where xs repeat steps."""
+    base = FiniteBooleanAlgebra.from_names("a,c,d")
+    stage0 = Tower(base)
+    stage1 = Tower(base)
+    stage1.extend(parse_element(base, "{c}"))
+    stage2 = stage1.fork()
+    stage2.extend(stage2.push(parse_element(base, "{a}"), 0, 1))
+    c, a = (stage2.push(parse_element(base, text), 0, 2) for text in ("{c}", "{a}"))
+    # c and ~c repeat stage 1, which answers some ys and not others; a
+    # repeats stage 2, which answers every y
+    repeats = [c, ~c, a, stage2.top.bottom, stage2.top.element_at(5)]
+    assert [stage2.latest_matching_step(x) for x in repeats[:3]] == [
+        (1, False), (1, True), (2, False)]
+    return {"stage0": (stage0, list(stage0.top.elements())),
+            "stage1": (stage1, list(stage1.top.elements())),
+            "repeat": (stage2, repeats)}
+
+
+@pytest.mark.parametrize("shape", ["stage0", "stage1", "repeat"])
+@pytest.mark.parametrize("masses, positivity", [
+    (["1/6", "1/3", "1/2"], "error"),
+    (["1/2", "1/2", "0"], "error"),
+    (["1/6", "1/3", "1/2"], "uniform"),
+    (["1/2", "1/2", "0"], "uniform"),
+    (["(1 - e)/2", "(1 - e)/2", "e"], "uniform"),
+], ids=["q", "q-null", "eps", "eps-null", "eps-masses"])
+def test_batched_law_checker_matches_per_pair_loop(shape, masses, positivity):
+    tower, xs = _towers()[shape]
+    dist = base_distribution(tower.algebra(0), masses)
+    report = check_conditional_laws(tower, dist, xs, positivity)
+    expected, answers = _per_pair_laws(tower, dist, xs, positivity)
+    assert {key: report[key] for key in expected} == expected
+    assert report["pairs"] == len(xs) * tower.top.size()
+    failures = sum(report[key] for key in (
+        "product_failures", "marginal_failures", "independence_failures"))
+    assert (report["witnesses"] == []) == (failures == 0)
+    if shape != "repeat":
+        # the null atom stops the rational block rule for some x
+        assert (report["skipped_null"] > 0) == (positivity == "error" and "0" in masses)
+    else:
+        # a pair the shortcut answers stays at the top stage, where the
+        # extension would have grown a new one
+        for x, y, stage, p_value in answers:
+            law = verify_conditional_law(tower, dist, x, y, positivity)
+            assert (law["stage"], law["p_conditional"]) == (stage, p_value)
+
+
+def test_batched_law_checker_reports_a_wrong_atom_image(monkeypatch):
+    tower, dist, x, y = worked_example(["1/6", "1/3", "1/2"])
+    images_of = prob._conditional_atom_images
+
+    def wrong_image_of_a(tower, event):
+        fork, new, images = images_of(tower, event)
+        if event == x:
+            images["a"] = images["c"]
+        return fork, new, images
+
+    monkeypatch.setattr(prob, "_conditional_atom_images", wrong_image_of_a)
+    report = check_conditional_laws(tower, dist, [x])
+    assert report["product_failures"] > 0
+    law, at_x, at_y = report["witnesses"][0]
+    assert (law, at_x) == ("product", x)
+    assert "a" in at_y.atoms and "c" not in at_y.atoms
+    assert not verify_conditional_law(tower, dist, x, y)["product_matches"]

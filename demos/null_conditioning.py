@@ -9,7 +9,7 @@ come back as exact rationals once the infinitesimal part is dropped.
 """
 
 from bayesalg.bayes import Tower
-from bayesalg.boolalg import FiniteBooleanAlgebra, atom_label, parse_element
+from bayesalg.boolalg import FiniteBooleanAlgebra, parse_element
 from bayesalg.field import format_scalar, standard_part
 from bayesalg.prob import (
     NullEventError,
@@ -29,7 +29,7 @@ print(f"conditioning event x = {x} has P(x) = {prob_of(dist, x)}")
 
 stage = tower.extend(x)
 print(f"\nstage {stage} adjoins the pair atoms:",
-      ", ".join(atom_label(a) for a in tower.top.atoms))
+      ", ".join(tower.top.atoms))
 try:
     extend_distribution(tower, dist, stage)
 except NullEventError as exc:

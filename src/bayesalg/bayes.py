@@ -3,10 +3,11 @@
 Starting from a finite base algebra, each extension step adjoins the
 conditionals [b]y for one conditioning event b. The extended algebra's
 atoms are ordered pairs (w, u) of lower atoms lying on opposite sides of
-b; the lower algebra embeds by sending an atom to the set of pairs whose
-first component it is, and swapping pair components is an automorphism t
-that exchanges the embedded copies of b and its complement. The
-conditional is then
+b, each named by its label ``(w,u)`` (``Step.pairs`` keeps the components);
+the lower algebra embeds by sending an atom to the set of pairs whose first
+component it is, and swapping pair components is an automorphism t that
+exchanges the embedded copies of b and its complement. The conditional is
+then
 
     [b]y  =  z | t(z)   where  z = psi(y) & psi(b),
 
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .boolalg import Element, FiniteBooleanAlgebra, atom_label
+from .boolalg import Element, FiniteBooleanAlgebra
 
 __all__ = [
     "Tower",
@@ -73,6 +74,7 @@ class Step:
     index: int
     base: Element  # element of the lower stage that was conditioned on
     algebra: FiniteBooleanAlgebra
+    pairs: tuple  # the lower atoms (w, u) of each upper atom, in atom order
     psi: dict  # lower atom -> frozenset of upper atoms (its embedded image)
     t: dict  # pair-swap permutation on upper atoms
     prior_step: Optional[int] = None  # step whose conditioning this repeats
@@ -187,12 +189,10 @@ class Tower:
         """
         top = self.top_index
         algebra = self.top
+        inside = b.atoms
+        outside = frozenset(algebra.atoms) - inside
         if prior is None:
-            inside = b.atoms
-            outside = algebra.top.atoms - inside
-            return {
-                a: (outside if a in inside else inside) for a in algebra.atoms
-            }
+            return {a: (outside if a in inside else inside) for a in algebra.atoms}
         k, _ = prior
         fibers = self.fiber_map(k, top)
         beta = {a: low for low, fib in fibers.items() for a in fib}
@@ -202,7 +202,7 @@ class Tower:
             partner = fibers[t_k[beta[a]]]
             # the swap moves across the conditioning event, so partner
             # fibers sit on the other side of b automatically
-            assert partner <= (b.atoms if a not in b.atoms else algebra.top.atoms - b.atoms)
+            assert partner <= (outside if a in inside else inside)
             blocks[a] = partner
         return blocks
 
@@ -223,20 +223,19 @@ class Tower:
             raise TowerGrowthError(
                 f"extension needs {count} atoms, budget is {self.max_atoms}"
             )
-        order = {a: i for i, a in enumerate(algebra.atoms)}
-        pairs = []
-        psi = {}
-        for w in algebra.atoms:
-            row = [(w, u) for u in sorted(blocks[w], key=order.__getitem__)]
-            pairs.extend(row)
-            psi[w] = frozenset(row)
-        upper = FiniteBooleanAlgebra(pairs)
-        t = {(w, u): (u, w) for (w, u) in pairs}
+        order = algebra._atom_index
+        pairs = tuple((w, u) for w in algebra.atoms
+                      for u in sorted(blocks[w], key=order.__getitem__))
+        labels = [f"({w},{u})" for w, u in pairs]
+        upper = FiniteBooleanAlgebra(labels)
+        psi = {w: frozenset(f"({w},{u})" for u in blocks[w]) for w in algebra.atoms}
+        t = {label: f"({u},{w})" for label, (w, u) in zip(labels, pairs)}
         assert all(v in upper._atom_index for v in t.values())
         step = Step(
             index=self.top_index + 1,
             base=b,
             algebra=upper,
+            pairs=pairs,
             psi=psi,
             t=t,
             prior_step=prior[0] if prior else None,
@@ -304,12 +303,12 @@ class Tower:
             {
                 "kind": "extend",
                 "atom_count": len(step.algebra.atoms),
-                "base": [atom_label(a) for a in step.base],
+                "base": list(step.base),
             }
             for step in self.steps
         ]
         return {
-            "atoms": [atom_label(a) for a in self.base.atoms],
+            "atoms": list(self.base.atoms),
             "max_atoms": self.max_atoms,
             "steps": steps,
         }
@@ -353,9 +352,9 @@ def _labelled_element(algebra: FiniteBooleanAlgebra, labels) -> Element:
             and all(isinstance(label, str) for label in labels)):
         raise ValueError(f"a step base must be a list of atom labels, got {labels!r}")
     for label in labels:
-        if label not in algebra._label_map:
+        if label not in algebra._atom_index:
             raise ValueError(f"unknown atom {label!r} in a step base")
-    return algebra.element(algebra._label_map[label] for label in labels)
+    return algebra.element(labels)
 
 
 # --- law checking ----------------------------------------------------------
@@ -435,7 +434,7 @@ def check_bayes_axioms(
         # ...and nothing below x collapses
         for a in x.atoms:
             if not images[a]:
-                violations.append(f"[{x}]- collapses atom {atom_label(a)}")
+                violations.append(f"[{x}]- collapses atom {a}")
         # degenerate above x: [x]x is top
         if frozenset().union(*(images[a].atoms for a in x.atoms)) != upper.top.atoms:
             violations.append(f"[x]y != top although x <= y, x={x}, y={x}")

@@ -2,17 +2,23 @@
 
 A finite Boolean algebra is determined by a finite ordered set of atoms;
 every element is a join of atoms and is represented here as a frozenset of
-them. Atoms are either plain string names or, for algebras produced by the
-conditional-extension construction, nested pairs (tuples) of atoms of an
-earlier algebra. The atom order fixes a bitmask enumeration of elements
-(index 0 is bottom, all-ones is top).
+them. An atom is its label string: a plain name, or, for algebras produced
+by the conditional-extension construction, the text ``(w,u)`` of an ordered
+pair of atoms of the stage below. The atom order fixes a bitmask
+enumeration of elements (index 0 is bottom, all-ones is top).
+
+The constructor checks names and trusts pair labels, which the tower builds
+from checked atoms. Pair-label grammar is checked once, where text enters:
+``from_names`` and ``from_json`` (algebra files, tower dumps) parse every
+label with ``parse_atom_label``; element text, step bases and distribution
+files must then match an algebra's atoms exactly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
-Atom = Union[str, tuple]
+Atom = str
 
 _NAME_FORBIDDEN = set("(){}, \t\n")
 
@@ -20,9 +26,7 @@ __all__ = [
     "Atom",
     "Element",
     "FiniteBooleanAlgebra",
-    "atom_label",
     "parse_atom_label",
-    "crop",
     "parse_element",
     "format_element",
     "ElementParseError",
@@ -34,20 +38,11 @@ class ElementParseError(ValueError):
 
 
 def _check_atom(atom: Atom) -> Atom:
-    if isinstance(atom, str):
-        if not atom or any(c in _NAME_FORBIDDEN for c in atom):
-            raise ValueError(f"bad atom name {atom!r}")
-        return atom
-    if isinstance(atom, tuple) and len(atom) == 2:
-        _check_atom(atom[0])
-        _check_atom(atom[1])
-        return atom
-    raise ValueError(f"atoms must be names or pairs, got {atom!r}")
-
-
-def atom_label(atom: Atom) -> str:
-    if isinstance(atom, tuple):
-        return f"({atom_label(atom[0])},{atom_label(atom[1])})"
+    """A name, or a pair label (one that starts with ``(``), unparsed."""
+    if not isinstance(atom, str):
+        raise ValueError(f"atoms must be label strings, got {atom!r}")
+    if not atom or (atom[0] != "(" and any(c in _NAME_FORBIDDEN for c in atom)):
+        raise ValueError(f"bad atom name {atom!r}")
     return atom
 
 
@@ -71,6 +66,7 @@ def _split_top_level(text: str) -> list[str]:
 
 
 def parse_atom_label(text: str) -> Atom:
+    """The atom that label text names, in canonical form (no spaces)."""
     text = text.strip()
     if text.startswith("("):
         if not text.endswith(")"):
@@ -78,7 +74,7 @@ def parse_atom_label(text: str) -> Atom:
         halves = _split_top_level(text[1:-1])
         if len(halves) != 2:
             raise ElementParseError(f"pair label needs two components: {text!r}")
-        return (parse_atom_label(halves[0]), parse_atom_label(halves[1]))
+        return f"({parse_atom_label(halves[0])},{parse_atom_label(halves[1])})"
     if not text or any(c in _NAME_FORBIDDEN for c in text):
         raise ElementParseError(f"bad atom name {text!r}")
     return text
@@ -87,7 +83,7 @@ def parse_atom_label(text: str) -> Atom:
 class FiniteBooleanAlgebra:
     """Ordered atom set plus element constructors and enumeration."""
 
-    __slots__ = ("atoms", "_atom_index", "_label_map")
+    __slots__ = ("atoms", "_atom_index")
 
     def __init__(self, atoms: Iterable[Atom]):
         atoms = tuple(_check_atom(a) for a in atoms)
@@ -97,7 +93,6 @@ class FiniteBooleanAlgebra:
             raise ValueError("an algebra needs at least one atom")
         self.atoms = atoms
         self._atom_index = {a: i for i, a in enumerate(atoms)}
-        self._label_map = {atom_label(a): a for a in atoms}
 
     @classmethod
     def from_names(cls, names: str) -> "FiniteBooleanAlgebra":
@@ -108,7 +103,7 @@ class FiniteBooleanAlgebra:
         atom_set = frozenset(atoms)
         for a in atom_set:
             if a not in self._atom_index:
-                raise ValueError(f"atom {atom_label(a)!r} is not in this algebra")
+                raise ValueError(f"atom {a!r} is not in this algebra")
         return Element(self, atom_set)
 
     @property
@@ -159,7 +154,7 @@ class FiniteBooleanAlgebra:
         return f"FiniteBooleanAlgebra({len(self.atoms)} atoms)"
 
     def to_json(self) -> dict:
-        return {"atoms": [atom_label(a) for a in self.atoms]}
+        return {"atoms": list(self.atoms)}
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteBooleanAlgebra":
@@ -237,14 +232,6 @@ class Element:
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
 
-    def is_atom(self) -> bool:
-        return len(self.atoms) == 1
-
-    def the_atom(self) -> Atom:
-        if len(self.atoms) != 1:
-            raise ValueError("not an atom")
-        return next(iter(self.atoms))
-
     def __str__(self) -> str:
         return format_element(self)
 
@@ -252,16 +239,8 @@ class Element:
         return format_element(self)
 
 
-def crop(algebra: FiniteBooleanAlgebra, x: Element) -> FiniteBooleanAlgebra:
-    """The algebra of elements below x: same atoms as x, with x as top."""
-    algebra._require_own(x)
-    if not x:
-        raise ValueError("cannot crop below bottom")
-    return FiniteBooleanAlgebra(a for a in algebra.atoms if a in x.atoms)
-
-
 def format_element(x: Element) -> str:
-    return "{" + ",".join(atom_label(a) for a in x) + "}"
+    return "{" + ",".join(x) + "}"
 
 
 def parse_element(algebra: FiniteBooleanAlgebra, text: str) -> Element:
@@ -272,14 +251,10 @@ def parse_element(algebra: FiniteBooleanAlgebra, text: str) -> Element:
     inner = text[1:-1].strip()
     if not inner:
         return algebra.bottom
-    atoms = []
-    for part in _split_top_level(inner):
-        label = part.strip()
-        atom = algebra._label_map.get(label)
-        if atom is None:
+    atoms = [part.strip() for part in _split_top_level(inner)]
+    for atom in atoms:
+        if atom not in algebra._atom_index:
             raise ElementParseError(
-                f"unknown atom {label!r}; algebra has "
-                + ", ".join(algebra._label_map)
+                f"unknown atom {atom!r}; algebra has " + ", ".join(algebra.atoms)
             )
-        atoms.append(atom)
     return algebra.element(atoms)

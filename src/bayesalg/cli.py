@@ -103,6 +103,12 @@ def _positivity(field: str) -> str:
     return "error" if field == "rational" else "uniform"
 
 
+def _null_event(exc: NullEventError, field: str) -> int:
+    hint = "; rerun with --field eps" if field == "rational" else ""
+    print(f"null event: {exc}{hint}", file=sys.stderr)
+    return 1
+
+
 # --- commands ----------------------------------------------------------------
 
 
@@ -170,8 +176,7 @@ def cmd_prob(args) -> int:
         at_stage = extend_distribution(tower, dist, stage, positivity)
         p = prob_of(at_stage, value)
     except NullEventError as exc:
-        print(f"null event: {exc}; rerun with --field eps", file=sys.stderr)
-        return 1
+        return _null_event(exc, args.field)
     if args.format == "json":
         print(json.dumps({
             "query": args.query,
@@ -195,7 +200,10 @@ def cmd_verify(args) -> int:
         # eight distinct events strictly between bottom and top, spread
         # over the index range
         xs = [top.element_at(1 + k * 97 % (size - 2)) for k in range(8)]
-    law = check_conditional_laws(tower, dist, xs, _positivity(args.field))
+    try:
+        law = check_conditional_laws(tower, dist, xs, _positivity(args.field))
+    except NullEventError as exc:
+        return _null_event(exc, args.field)
     product_fail = law["product_failures"]
     marginal_fail = law["marginal_failures"]
     indep_fail = law["independence_failures"]

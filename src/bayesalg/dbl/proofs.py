@@ -343,19 +343,27 @@ def derivation_to_json(derivation: Derivation) -> list:
 
 def derivation_from_json(data, name: str = "derivation",
                          comment: str = "") -> Derivation:
-    """Load a step array; a {"steps": [...]} wrapper is also accepted."""
+    """Load a step array; a {"steps": [...]} wrapper is also accepted.
+
+    ``premises`` must be a list of step indices (ints, not bools);
+    anything else raises TypeError.
+    """
     if isinstance(data, dict):
         name = data.get("name", name)
         comment = data.get("comment", comment)
         data = data["steps"]
-    steps = [
-        ProofStep(
+    steps = []
+    for index, item in enumerate(data):
+        premises = item.get("premises", [])
+        if not (isinstance(premises, list)
+                and all(type(ref) is int for ref in premises)):
+            raise TypeError(f"step {index}: \"premises\" must be a list of"
+                            f" step indices, got {premises!r}")
+        steps.append(ProofStep(
             conclusion=parse_sequent(item["conclusion"]),
             rule=item["rule"],
-            premises=tuple(item.get("premises", ())),
+            premises=tuple(premises),
             witness=tuple(sorted(item.get("witness", {}).items())),
             note=item.get("note", ""),
-        )
-        for item in data
-    ]
+        ))
     return Derivation(name=name, steps=steps, comment=comment)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .bayes import Tower, _conditional_atom_images
-from .boolalg import Atom, Element, FiniteBooleanAlgebra, atom_label
+from .boolalg import Element, FiniteBooleanAlgebra
 from .field import (
     EPSILON,
     InfinitesimalScalar,
@@ -52,7 +52,6 @@ __all__ = [
     "Distribution",
     "NullEventError",
     "base_distribution",
-    "uniform_distribution",
     "prob_of",
     "make_tangible",
     "standard_project",
@@ -85,13 +84,10 @@ class Distribution:
             mass = as_scalar(mass)
             self.masses[atom] = mass
             if mass < 0:
-                raise ValueError(f"negative mass at {atom_label(atom)}")
+                raise ValueError(f"negative mass at {atom}")
             total = mass if total is None else total + mass
         if total != 1:
             raise ValueError(f"masses sum to {format_scalar(total)}, not 1")
-
-    def mass(self, atom: Atom) -> Scalar:
-        return self.masses[atom]
 
     def is_strictly_positive(self) -> bool:
         return all(m > 0 for m in self.masses.values())
@@ -107,25 +103,19 @@ def base_distribution(
 ) -> Distribution:
     """Build a distribution from a mapping or an atom-ordered sequence.
 
-    Keys may be atoms or atom labels; values may be scalars or scalar
-    text like ``"1/4"`` or ``"(1 - e)/2"``.
+    Keys are atoms (their labels); values may be scalars or scalar text
+    like ``"1/4"`` or ``"(1 - e)/2"``.
     """
     if not isinstance(masses, dict):
         masses = dict(zip(algebra.atoms, masses))
         if len(masses) != len(algebra.atoms):
             raise ValueError("need one mass per atom")
     out = {}
-    for key, value in masses.items():
-        atom = algebra._label_map.get(key, key) if isinstance(key, str) else key
+    for atom, value in masses.items():
         if isinstance(value, str):
             value = parse_scalar(value)
         out[atom] = as_scalar(value)
     return Distribution(algebra, out, stage)
-
-
-def uniform_distribution(algebra: FiniteBooleanAlgebra, stage: int = 0) -> Distribution:
-    share = Fraction(1, len(algebra.atoms))
-    return Distribution(algebra, {a: share for a in algebra.atoms}, stage)
 
 
 def prob_of(dist: Distribution, x: Element) -> Scalar:
@@ -180,31 +170,27 @@ def standard_project(dist: Distribution) -> Distribution:
 def _extend_once(tower: Tower, dist: Distribution) -> Distribution:
     step = tower.step(dist.stage + 1)
     blocks: dict = {}
-    for (w, u) in step.algebra.atoms:
+    for w, u in step.pairs:
         blocks.setdefault(w, []).append(u)
-    block_mass = {
-        w: prob_of(dist, dist.algebra.element(seconds))
-        for w, seconds in blocks.items()
-    }
+    block_mass = {w: _total(dist.masses, seconds) for w, seconds in blocks.items()}
     masses = {}
-    for (w, u) in step.algebra.atoms:
-        top_mass = dist.masses[w] * dist.masses[u]
+    for atom, (w, u) in zip(step.algebra.atoms, step.pairs):
         if block_mass[w] == 0:
             if dist.masses[w] == 0:
-                masses[(w, u)] = Fraction(0)
+                masses[atom] = Fraction(0)
                 continue
             raise NullEventError(
-                f"block of {atom_label(w)} has probability 0; "
+                f"block of {w} has probability 0; "
                 "make the base distribution strictly positive first"
             )
-        masses[(w, u)] = top_mass / block_mass[w]
+        masses[atom] = dist.masses[w] * dist.masses[u] / block_mass[w]
     # the embedded copy of the lower stage keeps its probabilities; the
     # image of w is exactly its block of pairs (w, u)
     for w in dist.algebra.atoms:
-        total = sum((masses[(w, u)] for u in blocks.get(w, ())), Fraction(0))
+        total = _total(masses, step.psi[w])
         if total != dist.masses[w]:
             raise RuntimeError(
-                f"block rule broke the embedding at {atom_label(w)}: its"
+                f"block rule broke the embedding at {w}: its"
                 f" pairs carry {format_scalar(total)}, not"
                 f" {format_scalar(dist.masses[w])}"
             )
@@ -221,7 +207,7 @@ def extend_distribution(
 
     positivity says what to do when a zero-mass block is hit: "error"
     raises NullEventError; "uniform" or "hahn_witness" restart from the
-    original distribution perturbed by make_tangible in that mode.
+    original distribution perturbed at its own stage (see _tangible).
     """
     if to_stage is None:
         to_stage = tower.top_index
@@ -234,20 +220,27 @@ def extend_distribution(
     except NullEventError:
         if positivity == "error":
             raise
-        current = make_tangible(dist, mode=positivity)
+        current = _tangible(dist, positivity)
         while current.stage < to_stage:
             current = _extend_once(tower, current)
     return current
 
 
-def _distribution_at_top(
-    tower: Tower, dist: Distribution, positivity: str
-) -> Distribution:
-    """dist extended to the top, made strictly positive unless positivity is "error"."""
-    at_top = extend_distribution(tower, dist, tower.top_index, positivity)
-    if positivity != "error" and not at_top.is_strictly_positive():
-        at_top = make_tangible(at_top, mode=positivity)
-    return at_top
+def _tangible(dist: Distribution, positivity: str) -> Distribution:
+    """The one perturbation rule: unless positivity is "error", a dist with
+    a null atom becomes make_tangible(dist, positivity) at its own stage,
+    before the block rule extends it. Masses already in Q(e) are not
+    perturbed again; a null atom among them raises NullEventError.
+    """
+    if positivity == "error" or dist.is_strictly_positive():
+        return dist
+    if not dist.is_rational():
+        null = next(a for a in dist.algebra.atoms if dist.masses[a] == 0)
+        raise NullEventError(
+            f"{null} has probability 0 and the masses are already in Q(e);"
+            " give every atom a nonzero mass"
+        )
+    return make_tangible(dist, mode=positivity)
 
 
 def _conditional_law(
@@ -342,7 +335,8 @@ def verify_conditional_law(
     Returns a report with the probabilities involved and three booleans.
     """
     fork = tower.fork()
-    at_top = _distribution_at_top(fork, dist, positivity)
+    at_top = extend_distribution(
+        fork, _tangible(dist, positivity), fork.top_index, positivity)
     [report] = _conditional_law(fork, at_top, x, [y], positivity)
     if isinstance(report, NullEventError):
         raise report
@@ -368,7 +362,9 @@ def check_conditional_laws(
 
     y runs over the whole top algebra, and each x costs one extension of
     the tower and of the distribution. A pair whose extension meets a
-    null block is counted as skipped. Returns the counts ``pairs``,
+    null block is counted as skipped; unless positivity is "error", dist
+    is first made strictly positive (see _tangible), so only "error"
+    skips pairs. Returns the counts ``pairs``,
     ``product_failures``, ``marginal_failures``, ``independence_failures``
     and ``skipped_null``, and ``witnesses``: the first few failing
     (law, x, y) triples, in the order of xs and then of the top's
@@ -378,8 +374,9 @@ def check_conditional_laws(
     ys = list(fork.top.elements())
     out = dict.fromkeys(["pairs", "skipped_null"] + [key for _, _, key in _LAWS], 0)
     witnesses = out["witnesses"] = []
+    dist = _tangible(dist, positivity)
     try:
-        at_top = _distribution_at_top(fork, dist, positivity)
+        at_top = extend_distribution(fork, dist, fork.top_index, positivity)
     except NullEventError:
         out["pairs"] = out["skipped_null"] = len(xs) * len(ys)
         return out
@@ -424,8 +421,7 @@ def distribution_to_json(dist: Distribution) -> dict:
     return {
         "stage": dist.stage,
         "masses": {
-            atom_label(a): format_scalar(dist.masses[a])
-            for a in dist.algebra.atoms
+            a: format_scalar(dist.masses[a]) for a in dist.algebra.atoms
         },
     }
 

@@ -27,7 +27,8 @@ def test_first_extension_atoms_are_cross_pairs():
     x = parse_element(tower.top, "{a,c}")
     stage = tower.extend(x)
     assert stage == 1
-    assert tower.top.atoms == (("a", "d"), ("c", "d"), ("d", "a"), ("d", "c"))
+    assert tower.top.atoms == ("(a,d)", "(c,d)", "(d,a)", "(d,c)")
+    assert tower.step(1).pairs == (("a", "d"), ("c", "d"), ("d", "a"), ("d", "c"))
 
 
 def test_embedding_and_conditional_value():
@@ -61,8 +62,9 @@ def test_immediate_reconditioning_is_an_atom_bijection():
     tower.extend(lifted)
     after = tower.top.atoms
     assert len(after) == len(before)
-    assert {pair[0] for pair in after} == set(before)
-    for (w, u) in after:
+    pairs = tower.step(2).pairs
+    assert {w for w, _ in pairs} == set(before)
+    for (w, u) in pairs:
         assert tower.step(1).t[w] == u
     # and so does conditioning on the complement
     twin = tower.fork()

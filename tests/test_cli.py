@@ -348,3 +348,71 @@ def test_dump_over_its_own_budget_exits_two(files, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: extension needs 4 atoms, budget is 2\n")
+
+
+def _w_tower(files, *events):
+    """A tower dump over w0, w1, w2, extended by each event in turn."""
+    algebra = files["dir"] / "w.json"
+    algebra.write_text(json.dumps({"atoms": ["w0", "w1", "w2"]}))
+    path = str(files["dir"] / f"w{len(events)}.json")
+    assert main(["build", str(algebra), "-o", path]) == 0
+    for event in events:
+        assert main(["extend", path, event]) == 0
+    return path
+
+
+def test_verify_eps_perturbs_a_null_base_before_extending(files, capsys):
+    tower = _w_tower(files, "{w1}")
+    dist = files["dir"] / "null-w0.json"
+    dist.write_text(json.dumps({"masses": {"w0": "0", "w1": "7/10", "w2": "3/10"}}))
+    capsys.readouterr()
+    assert main(["verify", tower, str(dist), "--field", "eps"]) == 0
+    assert capsys.readouterr().out == (
+        "axioms: ok\nconditional law: 256 pairs, 0 product failures,"
+        " 0 marginal failures, 0 independence failures,"
+        " 0 skipped (null event)\n")
+
+
+def test_null_atom_in_eps_masses_exits_one_with_one_line(files, capsys):
+    dist = files["dir"] / "eps-null.json"
+    dist.write_text(json.dumps({"masses": {"w0": "0", "w1": "1 - e", "w2": "e"}}))
+    for argv in (["prob", _w_tower(files), str(dist), "[{w0}]{w0}", "--field", "eps"],
+                 ["verify", _w_tower(files, "{w1}"), str(dist), "--field", "eps"]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("null event: ")
+        assert captured.err.count("\n") == 1
+        assert "--field eps" not in captured.err
+
+
+@pytest.mark.parametrize("premises", [["0"], [True], "0", [0.0]],
+                         ids=["string", "bool", "not-a-list", "float"])
+def test_dbl_check_rejects_premises_that_are_not_indices(files, capsys, premises):
+    steps = [
+        {"conclusion": "x -> x", "rule": "TAUT", "premises": []},
+        {"conclusion": "x -> x", "rule": "mP", "premises": premises},
+    ]
+    path = files["dir"] / "bad-premises.json"
+    path.write_text(json.dumps(steps))
+    capsys.readouterr()
+    assert main(["dbl", "check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: step 1: \"premises\" must be a list of step indices,"
+        f" got {premises!r}\n")
+
+
+@pytest.mark.parametrize("label", ["(a", "(a,b,c)"])
+def test_malformed_pair_label_in_a_file_exits_two_with_one_line(files, capsys, label):
+    algebra = files["dir"] / "bad-label.json"
+    algebra.write_text(json.dumps({"atoms": [label, "d"]}))
+    dump = files["dir"] / "bad-label-tower.json"
+    dump.write_text(json.dumps({"atoms": [label, "d"], "steps": []}))
+    for argv, path in ((["build", str(algebra)], algebra),
+                       (["cond", str(dump), "{d}", "{d}"], dump)):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+

@@ -143,6 +143,11 @@ class Tower:
 
     def push(self, x: Element, low: int, high: int) -> Element:
         """Embed an element of stage ``low`` into stage ``high``."""
+        if low == high:
+            if not 0 <= low <= self.top_index:
+                raise ValueError(f"bad stage span {low}..{high}")
+            self.algebra(low)._require_own(x)
+            return x
         fibers = self.fiber_map(low, high)
         return self.algebra(high).element(
             a for atom in x.atoms for a in fibers[atom]
@@ -315,11 +320,16 @@ class Tower:
 
     @classmethod
     def from_json(cls, data: dict) -> "Tower":
-        tower = cls(
-            FiniteBooleanAlgebra.from_json(data),
-            max_atoms=data.get("max_atoms", 4096),
-        )
-        for entry in data.get("steps", []):
+        algebra = FiniteBooleanAlgebra.from_json(data)
+        max_atoms = data.get("max_atoms", 4096)
+        if type(max_atoms) is not int or max_atoms < 1:
+            raise ValueError(
+                f"\"max_atoms\" must be a positive integer, got {max_atoms!r}")
+        steps = data.get("steps", [])
+        if not isinstance(steps, list):
+            raise ValueError(f"\"steps\" must be a list, got {steps!r}")
+        tower = cls(algebra, max_atoms=max_atoms)
+        for entry in steps:
             if entry["kind"] != "extend":
                 raise ValueError(f"unknown step kind {entry['kind']!r}")
             tower.extend(_labelled_element(tower.top, entry["base"]))

@@ -26,7 +26,6 @@ formula in last position.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -122,25 +121,30 @@ def opaque_letters(f: Formula) -> List[Formula]:
     return list(seen)
 
 
-def _truth(f: Formula, values: Dict[Formula, bool]) -> bool:
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, (Var, Cond)):
-        return values[f]
-    return (not _truth(f.left, values)) or _truth(f.right, values)
-
-
 def is_tautology(f: Formula) -> bool:
-    """Propositional tautology over the opaque letters of f."""
+    """Propositional tautology over the opaque letters of f.
+
+    All 2**k rows are evaluated at once: bit r of an int is row r, and
+    letter i is true in the rows whose bit i is set.
+    """
     letters = opaque_letters(f)
     if len(letters) > _LETTER_LIMIT:
         raise ValueError(
             f"tautology check over {len(letters)} letters exceeds the"
             f" limit of {_LETTER_LIMIT}")
-    for bits in itertools.product((False, True), repeat=len(letters)):
-        if not _truth(f, dict(zip(letters, bits))):
-            return False
-    return True
+    full = (1 << (1 << len(letters))) - 1
+    # blocks of 2**i false rows then 2**i true rows, repeated
+    columns = {letter: full // ((1 << (1 << i)) + 1) << (1 << i)
+               for i, letter in enumerate(letters)}
+
+    def column(g: Formula) -> int:
+        if isinstance(g, Bot):
+            return 0
+        if isinstance(g, Impl):
+            return (full & ~column(g.left)) | column(g.right)
+        return columns[g]
+
+    return column(f) == full
 
 
 def _without(s: Sequent, at: int) -> Tuple[Formula, ...]:
@@ -345,25 +349,38 @@ def derivation_from_json(data, name: str = "derivation",
                          comment: str = "") -> Derivation:
     """Load a step array; a {"steps": [...]} wrapper is also accepted.
 
-    ``premises`` must be a list of step indices (ints, not bools);
-    anything else raises TypeError.
+    Each step must be an object whose ``conclusion`` and ``rule`` are
+    strings, ``witness`` (if given) an object, and ``premises`` a list of
+    step indices (ints, not bools); anything else raises TypeError.
     """
     if isinstance(data, dict):
         name = data.get("name", name)
         comment = data.get("comment", comment)
         data = data["steps"]
+    if not isinstance(data, list):
+        raise TypeError(f"expected a list of steps, got {data!r}")
     steps = []
     for index, item in enumerate(data):
+        if not isinstance(item, dict):
+            raise TypeError(f"step {index}: expected an object, got {item!r}")
+        for key in ("conclusion", "rule"):
+            if not isinstance(item[key], str):
+                raise TypeError(f"step {index}: \"{key}\" must be a string,"
+                                f" got {item[key]!r}")
         premises = item.get("premises", [])
         if not (isinstance(premises, list)
                 and all(type(ref) is int for ref in premises)):
             raise TypeError(f"step {index}: \"premises\" must be a list of"
                             f" step indices, got {premises!r}")
+        witness = item.get("witness", {})
+        if not isinstance(witness, dict):
+            raise TypeError(f"step {index}: \"witness\" must be an object,"
+                            f" got {witness!r}")
         steps.append(ProofStep(
             conclusion=parse_sequent(item["conclusion"]),
             rule=item["rule"],
             premises=tuple(premises),
-            witness=tuple(sorted(item.get("witness", {}).items())),
+            witness=tuple(sorted(witness.items())),
             note=item.get("note", ""),
         ))
     return Derivation(name=name, steps=steps, comment=comment)

@@ -51,9 +51,11 @@ def search_counterexample(sequent: Sequent,
                           mode: str = "auto") -> Optional[Counterexample]:
     """Refuting valuation for the sequent, or None if none is found.
 
-    ``samples`` counts valuations per base algebra.  A returned
-    counterexample is certified: holds() is false for its assignment
-    on a pristine copy of its tower.
+    ``samples`` counts valuations per base algebra.  A valuation drawn
+    again after it held is not evaluated again; the draws, and so the
+    result, are the same as if it were.  A returned counterexample is
+    certified: holds() is false for its assignment on a pristine copy
+    of its tower.
     """
     if algebras is None:
         algebras = default_bases()
@@ -62,10 +64,15 @@ def search_counterexample(sequent: Sequent,
         names |= atom_names(f)
     rng = random.Random(seed)
     for algebra in algebras:
+        passed: set = set()
         for _ in range(samples):
             assignment = random_valuation(algebra, names, rng)
+            key = frozenset(assignment.items())
+            if key in passed:
+                continue
             tower = Tower(algebra, max_atoms=max_atoms)
             if holds(tower, assignment, sequent, mode=mode):
+                passed.add(key)
                 continue
             # certify on an untouched twin before reporting
             twin = Tower(algebra, max_atoms=max_atoms)

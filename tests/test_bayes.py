@@ -174,3 +174,20 @@ def test_describe_names_repeats():
     text = tower.describe()
     assert "stage 0: 3 atoms" in text
     assert "repeats complement of stage 1" in text
+
+
+def test_push_within_one_stage_is_the_identity_after_the_span_checks():
+    tower = three_atom_tower()
+    tower.extend(parse_element(tower.top, "{a,c}"))
+    for stage in (0, 1):
+        x = tower.algebra(stage).element_at(5)
+        assert tower.push(x, stage, stage) == x
+    with pytest.raises(ValueError, match="bad stage span 2..2"):
+        tower.push(tower.top.top, 2, 2)
+    with pytest.raises(ValueError, match="bad stage span -1..-1"):
+        tower.push(tower.base.top, -1, -1)
+    with pytest.raises(ValueError, match="different algebra"):
+        tower.push(tower.base.top, 1, 1)
+    other = FiniteBooleanAlgebra.from_names("a,b")
+    with pytest.raises(ValueError, match="different algebra"):
+        tower.push(other.top, 0, 0)

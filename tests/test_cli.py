@@ -416,3 +416,47 @@ def test_malformed_pair_label_in_a_file_exits_two_with_one_line(files, capsys, l
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_atoms", "x", "\"max_atoms\" must be a positive integer, got 'x'"),
+    ("max_atoms", 3.5, "\"max_atoms\" must be a positive integer, got 3.5"),
+    ("max_atoms", True, "\"max_atoms\" must be a positive integer, got True"),
+    ("max_atoms", 0, "\"max_atoms\" must be a positive integer, got 0"),
+    ("steps", {}, "\"steps\" must be a list, got {}"),
+], ids=["budget-string", "budget-float", "budget-bool", "budget-zero",
+        "steps-object"])
+def test_bad_dump_fields_exit_two_with_one_line(files, capsys, field, value,
+                                                message):
+    path = files["dir"] / "bad-field.json"
+    path.write_text(json.dumps({"atoms": ["a", "c", "d"], field: value}))
+    for argv in (["cond", str(path), "{a}", "{c}"],
+                 ["prob", str(path), files["dist"], "{a}"],
+                 ["extend", str(path), "{a}"],
+                 ["verify", str(path), files["dist"]]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([5], "step 0: expected an object, got 5"),
+    ("abc", "expected a list of steps, got 'abc'"),
+    ({"steps": {"conclusion": "x -> x"}},
+     "expected a list of steps, got {'conclusion': 'x -> x'}"),
+    ([{"conclusion": "x -> x", "rule": "TAUT", "witness": ["X", "x"]}],
+     "step 0: \"witness\" must be an object, got ['X', 'x']"),
+    ([{"conclusion": 7, "rule": "TAUT"}],
+     "step 0: \"conclusion\" must be a string, got 7"),
+    ([{"conclusion": "x -> x", "rule": ["TAUT"]}],
+     "step 0: \"rule\" must be a string, got ['TAUT']"),
+], ids=["number-step", "string-file", "steps-object", "witness-list",
+        "conclusion-number", "rule-list"])
+def test_dbl_check_rejects_malformed_files(files, capsys, payload, message):
+    path = files["dir"] / "bad-derivation.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["dbl", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"

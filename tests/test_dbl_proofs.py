@@ -1,6 +1,8 @@
 """Derivation checking: the bundled corpus and targeted failure diagnoses."""
 
+import itertools
 import json
+import random
 
 import pytest
 
@@ -12,8 +14,17 @@ from bayesalg.dbl.proofs import (
     derivation_from_json,
     derivation_to_json,
     is_tautology,
+    opaque_letters,
 )
-from bayesalg.dbl.syntax import format_sequent, parse_formula, parse_sequent
+from bayesalg.dbl.syntax import (
+    BOT,
+    Cond,
+    Impl,
+    Var,
+    format_sequent,
+    parse_formula,
+    parse_sequent,
+)
 
 
 CORPUS = build_corpus()
@@ -226,6 +237,80 @@ def test_is_tautology_letter_limit():
     f = parse_formula(" & ".join(f"v{i}" for i in range(17)))
     with pytest.raises(ValueError):
         is_tautology(f)
+
+
+def _row_truth(f, row):
+    if f == BOT:
+        return False
+    if isinstance(f, Impl):
+        return not _row_truth(f.left, row) or _row_truth(f.right, row)
+    return row[f]
+
+
+def _tautology_by_rows(f):
+    """One row of the truth table at a time over the opaque letters."""
+    letters = opaque_letters(f)
+    # name each letter by its position, so a row lookup hashes one short Var
+    rename = {g: Var(str(i)) for i, g in enumerate(letters)}
+
+    def skeleton(g):
+        if isinstance(g, Impl):
+            return Impl(skeleton(g.left), skeleton(g.right))
+        return rename.get(g, g)
+
+    f = skeleton(f)
+    letters = list(rename.values())
+    return all(_row_truth(f, dict(zip(letters, bits)))
+               for bits in itertools.product((False, True),
+                                             repeat=len(letters)))
+
+
+def _random_formula(rng, letters, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return BOT if rng.random() < 0.1 else rng.choice(letters)
+    return Impl(_random_formula(rng, letters, depth - 1),
+                _random_formula(rng, letters, depth - 1))
+
+
+def test_is_tautology_matches_the_row_by_row_table():
+    rng = random.Random(15)
+    names = [Var(n) for n in "uvwxyz"]
+    pool = names + [Cond(names[0], names[1]), Cond(Impl(names[2], BOT), names[3])]
+    verdicts = set()
+    for _ in range(600):
+        letters = rng.sample(pool, rng.randint(1, 6))
+        f = _random_formula(rng, letters, rng.randint(1, 6))
+        # p -> p makes a share of the draws tautologies
+        if rng.random() < 0.3:
+            g = _random_formula(rng, letters, 2)
+            f = Impl(Impl(g, f), Impl(g, f)) if rng.random() < 0.5 else Impl(f, f)
+        assert len(opaque_letters(f)) <= 6
+        expected = _tautology_by_rows(f)
+        assert is_tautology(f) is expected, f
+        verdicts.add(expected)
+    assert verdicts == {False, True}
+
+
+def test_is_tautology_matches_the_row_by_row_table_on_the_corpus():
+    members = {f for d in CORPUS.values() for step in d.steps
+               for f in step.conclusion}
+    verdicts = set()
+    for f in members:
+        expected = _tautology_by_rows(f)
+        assert is_tautology(f) is expected, f
+        verdicts.add(expected)
+    assert verdicts == {False, True}
+
+
+def test_is_tautology_at_the_letter_limit():
+    letters = [Var(f"v{i}") for i in range(16)]
+    chain = letters[-1]
+    for v in reversed(letters[:-1]):
+        chain = Impl(v, chain)
+    # v0 -> ... -> v15 fails only where v0..v14 hold and v15 does not
+    assert not is_tautology(chain)
+    assert is_tautology(Impl(letters[-1], chain))
+    assert len(opaque_letters(chain)) == 16
 
 
 def test_reports_cover_every_step():

@@ -11,7 +11,6 @@ evaluator and derivation checker. The ``bayesalg`` CLI exposes all of it.
 from .field import (
     EPSILON,
     InfinitesimalScalar,
-    Polynomial,
     Scalar,
     format_scalar,
     parse_scalar,

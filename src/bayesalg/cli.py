@@ -114,7 +114,7 @@ def _null_event(exc: NullEventError, field: str) -> int:
 
 def cmd_build(args) -> int:
     algebra = _load_algebra(args.algebra)
-    tower = Tower(algebra, max_atoms=args.max_atoms or 4096)
+    tower = Tower(algebra, max_atoms=args.max_atoms)
     if args.output:
         Path(args.output).write_text(json.dumps(tower.to_json(), indent=2) + "\n")
         print(tower.describe())
@@ -304,7 +304,7 @@ def _dbl_eval(args) -> int:
         if missing:
             raise UsageError(
                 f"{args.file}:{number}: unbound variables: {', '.join(missing)}")
-        tower = Tower(algebra, max_atoms=args.max_atoms or 4096)
+        tower = Tower(algebra, max_atoms=args.max_atoms)
         ok = holds(tower, assignment, sequent, mode=args.mode)
         failures += not ok
         results.append((number, text, ok))
@@ -323,7 +323,7 @@ def _dbl_search(args) -> int:
     for number, text, sequent in _sequent_lines(args.file):
         found = search_counterexample(sequent, samples=args.budget,
                                       seed=args.seed,
-                                      max_atoms=args.max_atoms or 4096)
+                                      max_atoms=args.max_atoms)
         if found is None:
             results.append((number, text, None))
         else:
@@ -415,8 +415,9 @@ def _add_format(parser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_max_atoms(parser) -> None:
-    parser.add_argument("--max-atoms", type=int, default=None,
+def _add_max_atoms(parser, default: Optional[int] = None) -> None:
+    """Unset (None) keeps the guard a loaded tower dump records."""
+    parser.add_argument("--max-atoms", type=int, default=default,
                         help="growth guard for tower extension")
 
 
@@ -437,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="write a stage-0 tower dump")
     p.add_argument("algebra", help="JSON file with an \"atoms\" list")
     p.add_argument("-o", "--output", help="tower dump path (default: stdout)")
-    _add_max_atoms(p)
+    _add_max_atoms(p, default=4096)
 
     p = sub.add_parser("extend", help="extend a tower by an event")
     p.add_argument("tower")
@@ -484,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--let", action="append", metavar="NAME=ELEMENT")
     q.add_argument("--mode", choices=("auto", "fresh"), default="auto")
     _add_format(q)
-    _add_max_atoms(q)
+    _add_max_atoms(q, default=4096)
 
     q = dbl_sub.add_parser("search", help="hunt for refuting valuations")
     q.add_argument("file", help="one sequent per line")
@@ -492,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="valuations sampled per base algebra")
     q.add_argument("--seed", type=int, default=0)
     _add_format(q)
-    _add_max_atoms(q)
+    _add_max_atoms(q, default=4096)
 
     q = dbl_sub.add_parser("check", help="validate derivation files")
     q.add_argument("files", nargs="+")
@@ -514,6 +515,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        for flag in ("max_atoms", "budget"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise UsageError(f"--{flag.replace('_', '-')} must be a"
+                                 f" positive integer, got {value}")
         return globals()["cmd_" + args.command](args)
     except (UsageError, TowerGrowthError, TrivialEventError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .proofs import Derivation, ProofStep, is_tautology
+from .proofs import AXIOMS, Derivation, ProofStep, is_tautology
 from .syntax import (
     BOT,
     Cond,
@@ -141,16 +141,19 @@ class ProofBuilder:
 
     def ax_k(self, x: Formula, y: Formula, z: Formula,
              note: str = "") -> int:
-        f = Impl(Cond(x, Impl(y, z)), Impl(Cond(x, y), Cond(x, z)))
-        return self.add((f,), "AxK", (), note, witness=_witness(x=x, y=y, z=z))
+        return self._axiom("AxK", note, x, y, z)
 
     def ax_cond_inf(self, x: Formula, y: Formula, note: str = "") -> int:
-        f = Impl(Cond(x, y), Impl(x, y))
-        return self.add((f,), "AxCondInf", (), note, witness=_witness(x=x, y=y))
+        return self._axiom("AxCondInf", note, x, y)
 
     def ax_neg(self, x: Formula, y: Formula, note: str = "") -> int:
-        f = iff(Cond(x, neg(y)), neg(Cond(x, y)))
-        return self.add((f,), "AxNeg", (), note, witness=_witness(x=x, y=y))
+        return self._axiom("AxNeg", note, x, y)
+
+    def _axiom(self, rule: str, note: str, *formulas: Formula) -> int:
+        schema = AXIOMS[rule]
+        witness = tuple((name.lower(), format_formula(f))
+                        for name, f in zip(schema.metavariables, formulas))
+        return self.add((schema.instance(*formulas),), rule, (), note, witness)
 
     def ax_ind(self, i: int, j: int, note: str = "") -> int:
         """Line i ends with Y <-> ~X, line j with [X]Z <-> Z."""

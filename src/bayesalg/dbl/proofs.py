@@ -39,13 +39,17 @@ from .syntax import (
     Var,
     as_iff,
     as_neg,
+    atom_names,
     format_sequent,
     iff,
     neg,
+    parse_formula,
     parse_sequent,
 )
 
 __all__ = [
+    "AXIOMS",
+    "AxiomSchema",
     "Derivation",
     "ProofStep",
     "RULES",
@@ -56,16 +60,6 @@ __all__ = [
     "is_tautology",
     "opaque_letters",
 ]
-
-RULES = (
-    "TAUT", "MP", "mP", "mC", "mW",
-    "AxInfCond", "AxK", "AxCondInf", "AxNeg", "AxInd",
-)
-
-_RULE_ARITY = {
-    "TAUT": 0, "MP": 2, "mP": 1, "mC": 1, "mW": 1,
-    "AxInfCond": 1, "AxK": 0, "AxCondInf": 0, "AxNeg": 0, "AxInd": 2,
-}
 
 _LETTER_LIMIT = 16
 
@@ -210,53 +204,63 @@ def _check_inf_cond(step: ProofStep,
             " premise by ~X and [X]Y")
 
 
-def _single(step: ProofStep) -> Optional[Formula]:
-    if len(step.conclusion) == 1:
-        return step.conclusion[0]
-    return None
+class AxiomSchema:
+    """A premise-free axiom, defined once by its shape text.
 
+    The shape's variables are the metavariables. ``instance`` substitutes
+    formulas for them, in name order. ``check`` reads the metavariables
+    off a candidate and requires it to be the instance they rebuild.
+    """
 
-def _check_ax_k(step: ProofStep, premises: Sequence[Sequent]) -> Optional[str]:
-    f = _single(step)
-    shape = "[X](Y -> Z) -> ([X]Y -> [X]Z)"
-    if f is None:
-        return f"an axiom instance must be the single member {shape}"
-    if isinstance(f, Impl) and isinstance(f.left, Cond) \
-            and isinstance(f.left.body, Impl):
-        x = f.left.base
-        y = f.left.body.left
-        z = f.left.body.right
-        if f.right == Impl(Cond(x, y), Cond(x, z)):
+    def __init__(self, shape: str):
+        self.shape = shape
+        self.pattern = parse_formula(shape)
+        self.metavariables = tuple(sorted(atom_names(self.pattern)))
+
+    def instance(self, *formulas: Formula) -> Formula:
+        return _substitute(self.pattern, dict(zip(self.metavariables, formulas)))
+
+    def check(self, step: ProofStep,
+              premises: Sequence[Sequent]) -> Optional[str]:
+        if len(step.conclusion) != 1:
+            return f"an axiom instance must be the single member {self.shape}"
+        if _match(self.pattern, step.conclusion[0], {}):
             return None
-    return f"not an instance of {shape}"
+        return f"not an instance of {self.shape}"
 
 
-def _check_ax_cond_inf(step: ProofStep,
-                       premises: Sequence[Sequent]) -> Optional[str]:
-    f = _single(step)
-    shape = "[X]Y -> (X -> Y)"
-    if f is None:
-        return f"an axiom instance must be the single member {shape}"
-    if isinstance(f, Impl) and isinstance(f.left, Cond):
-        if f.right == Impl(f.left.base, f.left.body):
-            return None
-    return f"not an instance of {shape}"
+def _substitute(pattern: Formula, formulas: Dict[str, Formula]) -> Formula:
+    if isinstance(pattern, Var):
+        return formulas[pattern.name]
+    if isinstance(pattern, Impl):
+        return Impl(_substitute(pattern.left, formulas),
+                    _substitute(pattern.right, formulas))
+    if isinstance(pattern, Cond):
+        return Cond(_substitute(pattern.base, formulas),
+                    _substitute(pattern.body, formulas))
+    return pattern
 
 
-def _check_ax_neg(step: ProofStep,
-                  premises: Sequence[Sequent]) -> Optional[str]:
-    f = _single(step)
-    shape = "[X]~Y <-> ~[X]Y"
-    if f is None:
-        return f"an axiom instance must be the single member {shape}"
-    pair = as_iff(f)
-    if pair is not None:
-        lhs, rhs = pair
-        if isinstance(lhs, Cond):
-            y = as_neg(lhs.body)
-            if y is not None and rhs == neg(Cond(lhs.base, y)):
-                return None
-    return f"not an instance of {shape}"
+def _match(pattern: Formula, f: Formula, formulas: Dict[str, Formula]) -> bool:
+    """True when f is _substitute(pattern, formulas) for the formulas read
+    off f: each metavariable binds at its first place and must recur
+    equal."""
+    if isinstance(pattern, Var):
+        return formulas.setdefault(pattern.name, f) == f
+    if isinstance(pattern, Impl):
+        return (isinstance(f, Impl) and _match(pattern.left, f.left, formulas)
+                and _match(pattern.right, f.right, formulas))
+    if isinstance(pattern, Cond):
+        return (isinstance(f, Cond) and _match(pattern.base, f.base, formulas)
+                and _match(pattern.body, f.body, formulas))
+    return f == pattern
+
+
+AXIOMS = {
+    "AxK": AxiomSchema("[X](Y -> Z) -> ([X]Y -> [X]Z)"),
+    "AxCondInf": AxiomSchema("[X]Y -> (X -> Y)"),
+    "AxNeg": AxiomSchema("[X]~Y <-> ~[X]Y"),
+}
 
 
 def _check_ax_ind(step: ProofStep,
@@ -286,18 +290,19 @@ def _check_ax_ind(step: ProofStep,
     return "conclusion must end with [Y]Z <-> Z"
 
 
-_CHECKERS = {
-    "TAUT": _check_taut,
-    "MP": _check_mp,
-    "mP": _check_perm,
-    "mC": _check_contract,
-    "mW": _check_weaken,
-    "AxInfCond": _check_inf_cond,
-    "AxK": _check_ax_k,
-    "AxCondInf": _check_ax_cond_inf,
-    "AxNeg": _check_ax_neg,
-    "AxInd": _check_ax_ind,
+# rule name -> (number of premises, checker)
+_RULES = {
+    "TAUT": (0, _check_taut),
+    "MP": (2, _check_mp),
+    "mP": (1, _check_perm),
+    "mC": (1, _check_contract),
+    "mW": (1, _check_weaken),
+    "AxInfCond": (1, _check_inf_cond),
+    **{name: (0, schema.check) for name, schema in AXIOMS.items()},
+    "AxInd": (2, _check_ax_ind),
 }
+
+RULES = tuple(_RULES)
 
 
 def check_derivation(derivation: Derivation) -> List[StepReport]:
@@ -317,9 +322,9 @@ def check_derivation(derivation: Derivation) -> List[StepReport]:
 
 def _check_step(index: int, step: ProofStep,
                 steps: Sequence[ProofStep]) -> Optional[str]:
-    if step.rule not in _CHECKERS:
+    if step.rule not in _RULES:
         return f"unknown rule {step.rule!r}"
-    arity = _RULE_ARITY[step.rule]
+    arity, checker = _RULES[step.rule]
     if len(step.premises) != arity:
         return (f"{step.rule} takes {arity} premise(s),"
                 f" {len(step.premises)} given")
@@ -328,7 +333,7 @@ def _check_step(index: int, step: ProofStep,
         if not 0 <= ref < index:
             return f"premise {ref} is not an earlier step"
         resolved.append(steps[ref].conclusion)
-    return _CHECKERS[step.rule](step, resolved)
+    return checker(step, resolved)
 
 
 def derivation_to_json(derivation: Derivation) -> list:

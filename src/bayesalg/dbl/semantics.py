@@ -2,9 +2,9 @@
 
 A valuation assigns an element of a tower's current top algebra to each
 propositional variable.  Implication is evaluated pointwise; the
-conditional prefix ``[x]y`` extends the tower, so evaluation threads a
-stage number alongside each intermediate value and lifts older values
-forward through the stage embeddings as the tower grows.
+conditional prefix ``[x]y`` extends the tower, so each operand is lifted
+through the stage embeddings from the top it was computed at to the top
+its partner left.
 
 A sequent holds under a valuation when at least one of its members
 evaluates to the top element.
@@ -13,20 +13,11 @@ evaluates to the top element.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable
 
 from ..bayes import Tower
 from ..boolalg import Element, FiniteBooleanAlgebra
-from .syntax import (
-    Bot,
-    Cond,
-    Formula,
-    Impl,
-    Sequent,
-    Var,
-    atom_names,
-    format_formula,
-)
+from .syntax import Bot, Formula, Impl, Sequent, Var
 
 __all__ = [
     "Valuation",
@@ -46,9 +37,8 @@ class Valuation:
 
     def __init__(self, tower: Tower, assignment: Dict[str, Element],
                  mode: str = "auto"):
-        top = tower.algebra(tower.top_index)
         for name, value in assignment.items():
-            if value.algebra != top:
+            if value.algebra != tower.top:
                 raise ValueError(
                     f"assignment for {name!r} is not an element of the"
                     " tower's top algebra")
@@ -57,38 +47,34 @@ class Valuation:
         self._base_stage = tower.top_index
         self.assignment = dict(assignment)
 
-    def _eval(self, f: Formula) -> Tuple[Element, int]:
+    def value(self, f: Formula) -> Element:
+        """Evaluate f, returning an element of the (possibly new) top."""
         tower = self.tower
         if isinstance(f, Bot):
-            stage = tower.top_index
-            return tower.algebra(stage).bottom, stage
+            return tower.algebra(tower.top_index).bottom
         if isinstance(f, Var):
             try:
                 value = self.assignment[f.name]
             except KeyError:
                 raise KeyError(f"no assignment for variable {f.name!r}")
-            return tower.push(value, self._base_stage, tower.top_index), \
-                tower.top_index
+            return tower.push(value, self._base_stage, tower.top_index)
+        # the left operand is pushed up past the stages the right one built
         if isinstance(f, Impl):
-            left, left_stage = self._eval(f.left)
-            right, stage = self._eval(f.right)
-            left = tower.push(left, left_stage, stage)
-            return ~left | right, stage
-        base, base_stage = self._eval(f.base)
-        body, stage = self._eval(f.body)
-        base = tower.push(base, base_stage, stage)
-        return tower.conditional(base, body, mode=self.mode)
-
-    def value(self, f: Formula) -> Element:
-        """Evaluate f, returning an element of the (possibly new) top."""
-        result, stage = self._eval(f)
-        return self.tower.push(result, stage, self.tower.top_index)
+            left = self.value(f.left)
+            stage = tower.top_index
+            right = self.value(f.right)
+            return ~tower.push(left, stage, tower.top_index) | right
+        base = self.value(f.base)
+        stage = tower.top_index
+        body = self.value(f.body)
+        base = tower.push(base, stage, tower.top_index)
+        return tower.conditional(base, body, mode=self.mode)[0]
 
     def satisfies(self, s: Sequent) -> bool:
         """True when some member of s evaluates to top."""
         for f in s:
-            value, stage = self._eval(f)
-            if value == self.tower.algebra(stage).top:
+            value = self.value(f)
+            if value == value.algebra.top:
                 return True
         return False
 

@@ -191,7 +191,7 @@ def atom_names(f: Formula) -> "set[str]":
 
 
 # Precedence levels, loosest to tightest.
-_IFF, _IMPL, _OR, _AND, _UNARY, _PRIMARY = 1, 2, 3, 4, 5, 6
+_IFF, _IMPL, _OR, _AND, _UNARY = 1, 2, 3, 4, 5
 
 
 def _render(f: Formula, context: int) -> str:
@@ -251,129 +251,98 @@ class FormulaParseError(ValueError):
         self.position = position
 
 
+# One scan; the catch-all \S group is a character no token starts with.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\|\||<->|->|[|&~\[\]()]))"
+    r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>\|\||<->|->|[|&~\[\]()])"
+    r"|(?P<bad>\S)"
 )
 
-_RESERVED = {"T", "F"}
+_CONSTANTS = {"T": TOP, "F": BOT}
+
+# binary connective -> (binding level, level of its right operand, builder)
+_BINARY = {
+    "<->": (_IFF, _IFF + 1, iff),
+    "->": (_IMPL, _IMPL, Impl),
+    "|": (_OR, _OR + 1, disj),
+    "&": (_AND, _AND + 1, conj),
+}
 
 
 def _tokenize(text: str) -> "list[tuple[str, str, int]]":
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise FormulaParseError(f"unexpected character {rest[0]!r}", at)
-        if m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "bad":
+            raise FormulaParseError(f"unexpected character {m.group()!r}",
+                                    m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Precedence climbing over the token list; names and the end token
+    never spell an operator, so operators are matched by text alone."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> "tuple[str, str, int]":
-        return self.tokens[self.index]
-
-    def take(self) -> "tuple[str, str, int]":
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+    def accept(self, op: str) -> bool:
+        if self.tokens[self.index][1] == op:
+            self.index += 1
+            return True
+        return False
 
     def expect(self, op: str) -> None:
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise FormulaParseError(f"expected {op!r}", pos)
-        self.take()
+        if not self.accept(op):
+            raise FormulaParseError(f"expected {op!r}", self.tokens[self.index][2])
 
-    def at_op(self, op: str) -> bool:
-        kind, value, _ = self.peek()
-        return kind == "op" and value == op
-
-    def formula(self) -> Formula:
-        result = self.impl()
-        while self.at_op("<->"):
-            self.take()
-            result = iff(result, self.impl())
-        return result
-
-    def impl(self) -> Formula:
-        left = self.disjunction()
-        if self.at_op("->"):
-            self.take()
-            return Impl(left, self.impl())
-        return left
-
-    def disjunction(self) -> Formula:
-        result = self.conjunction()
-        while self.at_op("|"):
-            self.take()
-            result = disj(result, self.conjunction())
-        return result
-
-    def conjunction(self) -> Formula:
+    def formula(self, level: int = _IFF) -> Formula:
+        """The longest formula whose binary connectives bind at ``level``
+        or tighter."""
         result = self.unary()
-        while self.at_op("&"):
-            self.take()
-            result = conj(result, self.unary())
-        return result
+        while True:
+            binary = _BINARY.get(self.tokens[self.index][1])
+            if binary is None or binary[0] < level:
+                return result
+            self.index += 1
+            result = binary[2](result, self.formula(binary[1]))
 
     def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "~":
-            self.take()
+        kind, value, pos = self.tokens[self.index]
+        self.index += 1
+        if kind == "name":
+            return _CONSTANTS[value] if value in _CONSTANTS else Var(value)
+        if value == "~":
             return neg(self.unary())
-        if kind == "op" and value == "[":
-            self.take()
+        if value == "[":
             base = self.formula()
             self.expect("]")
             return Cond(base, self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, value, pos = self.take()
-        if kind == "name":
-            if value == "T":
-                return TOP
-            if value == "F":
-                return BOT
-            return Var(value)
-        if kind == "op" and value == "(":
+        if value == "(":
             inner = self.formula()
             self.expect(")")
             return inner
         raise FormulaParseError("expected a formula", pos)
 
+    def end(self, result):
+        """Return result when every token is used, else raise at the first
+        one left over."""
+        kind, value, pos = self.tokens[self.index]
+        if kind != "end":
+            raise FormulaParseError(f"unexpected {value!r}", pos)
+        return result
+
 
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
-    result = parser.formula()
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise FormulaParseError(f"unexpected {value!r}", pos)
-    return result
+    return parser.end(parser.formula())
 
 
 def parse_sequent(text: str) -> Sequent:
     parser = _Parser(text)
     parts = [parser.formula()]
-    while parser.at_op("||"):
-        parser.take()
+    while parser.accept("||"):
         parts.append(parser.formula())
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise FormulaParseError(f"unexpected {value!r}", pos)
-    return tuple(parts)
+    return parser.end(tuple(parts))

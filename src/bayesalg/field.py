@@ -29,10 +29,9 @@ import math
 import re
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 __all__ = [
-    "Polynomial",
     "InfinitesimalScalar",
     "Scalar",
     "EPSILON",
@@ -58,35 +57,6 @@ class ScalarParseError(ValueError):
         self.position = position
 
 
-class Polynomial:
-    """Dense polynomial in the infinitesimal, with Fraction coefficients.
-
-    The input type of the InfinitesimalScalar constructor: coeffs[k]
-    multiplies e**k. The tuple never has trailing zeros; the zero
-    polynomial is the empty tuple.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
-
-
-_P_ONE = Polynomial((1,))
-
-
 # --- integer polynomial kernel ------------------------------------------
 #
 # A polynomial is a tuple of ints, lowest degree first, with no trailing
@@ -104,15 +74,19 @@ def _low(p) -> int:
     return k
 
 
+def _trim(coeffs: list):
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def _add(a, b):
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for k, c in enumerate(b):
         out[k] += c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return _trim(out)
 
 
 def _mul(a, b):
@@ -301,24 +275,26 @@ class InfinitesimalScalar:
     lowest nonzero numerator coefficient, which orders ``e`` strictly
     between 0 and every positive rational.
 
-    The constructor clears the Fraction denominators of its Polynomial
-    arguments and reduces fully. Operators build their results directly
-    in canonical form: Henrici's add and multiply cancel only across the
-    operands, with primitive-PRS gcds on integer polynomials, and order
-    is the sign of a cross-multiplied difference.
+    The constructor takes coefficient sequences of ints or Fractions,
+    lowest degree first, clears their denominators and reduces fully.
+    Operators build their results directly in canonical form: Henrici's
+    add and multiply cancel only across the operands, with primitive-PRS
+    gcds on integer polynomials, and order is the sign of a
+    cross-multiplied difference.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial = _P_ONE):
-        if den.is_zero():
+    def __init__(self, num: Sequence[Union[int, Fraction]],
+                 den: Sequence[Union[int, Fraction]] = _ONE):
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        scale = math.lcm(*(c.denominator for c in num + den))
+        num = _trim([c.numerator * (scale // c.denominator) for c in num])
+        den = _trim([c.numerator * (scale // c.denominator) for c in den])
+        if not den:
             raise ZeroDivisionError("scalar with zero denominator")
-        coeffs = num.coeffs + den.coeffs
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        num, den = _reduce(
-            tuple(c.numerator * (scale // c.denominator) for c in num.coeffs),
-            tuple(c.numerator * (scale // c.denominator) for c in den.coeffs),
-        )
+        num, den = _reduce(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

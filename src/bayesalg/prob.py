@@ -40,7 +40,6 @@ from .boolalg import Element, FiniteBooleanAlgebra
 from .field import (
     EPSILON,
     InfinitesimalScalar,
-    Polynomial,
     Scalar,
     as_scalar,
     format_scalar,
@@ -144,10 +143,7 @@ def make_tangible(dist: Distribution, mode: str = "uniform") -> Distribution:
     if mode == "uniform":
         ref = [InfinitesimalScalar.from_rational(Fraction(1, n))] * n
     elif mode == "hahn_witness":
-        norm = Polynomial([1] * n)
-        ref = [
-            InfinitesimalScalar(Polynomial([0] * i + [1]), norm) for i in range(n)
-        ]
+        ref = [InfinitesimalScalar([0] * i + [1], [1] * n) for i in range(n)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     one = InfinitesimalScalar.from_rational(1)

@@ -335,6 +335,43 @@ def test_growth_guard_and_trivial_events_exit_two(files, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["build", "@algebra"],
+    ["extend", "@tower", "{a}"],
+    ["cond", "@tower", "{a}", "{c}"],
+    ["prob", "@tower", "@dist", "[{a}]{c}"],
+    ["verify", "@tower", "@dist"],
+    ["dbl", "eval", "@seqs", "--atoms", "a,c,d", "--let", "x={a}"],
+    ["dbl", "search", "@seqs"],
+], ids=["build", "extend", "cond", "prob", "verify", "dbl-eval", "dbl-search"])
+def test_max_atoms_below_one_exits_two_with_one_line(files, capsys, argv,
+                                                     value):
+    files["seqs"] = files["dir"] / "seqs.txt"
+    files["seqs"].write_text("x || ~x\n")
+    argv = [str(files[arg[1:]]) if arg.startswith("@") else arg for arg in argv]
+    capsys.readouterr()
+    assert main(argv + ["--max-atoms", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --max-atoms must be a positive integer, got {value}\n")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_search_budget_below_one_exits_two_with_one_line(files, capsys, budget):
+    seqs = files["dir"] / "seqs.txt"
+    seqs.write_text("x || ~x\n")
+    capsys.readouterr()
+    assert main(["dbl", "search", str(seqs)]) == 1
+    capsys.readouterr()
+    assert main(["dbl", "search", str(seqs), "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --budget must be a positive integer, got {budget}\n")
+
+
 def test_dump_over_its_own_budget_exits_two(files, capsys):
     path = files["dir"] / "small-budget.json"
     path.write_text(json.dumps({

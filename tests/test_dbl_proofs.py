@@ -143,6 +143,18 @@ def test_ax_neg_shape():
         "not an instance of [X]~Y <-> ~[X]Y")
 
 
+@pytest.mark.parametrize("rule, good, bad", [
+    ("AxK", "[a | b](c -> F) -> ([a | b]c -> [a | b]F)",
+     "[a](c -> F) -> ([b]c -> [a]F)"),
+    ("AxCondInf", "[~a][b]c -> (~a -> [b]c)", "[a]b -> (a -> c)"),
+    ("AxNeg", "[a & b]~~c <-> ~[a & b]~c", "[a]~c <-> ~[b]c"),
+], ids=["AxK", "AxCondInf", "AxNeg"])
+def test_axiom_schema_checks_every_place_of_a_metavariable(rule, good, bad):
+    assert _failures(Derivation("good", (_step(good, rule),))) == []
+    assert check_derivation(Derivation("bad", (_step(bad, rule),)))[0] \
+        .message.startswith("not an instance of ")
+
+
 def test_ax_ind_context_must_match():
     d = Derivation("bad", (
         _step("g || y <-> ~x", "TAUT"),

@@ -84,22 +84,58 @@ def test_reserved_and_names():
     assert parse_formula("_a1") == Var("_a1")
 
 
+# Malformed text, with the message and position each one gets.
+_MALFORMED = [
+    (parse_formula, "x $ y", "unexpected character '$'", 2),
+    (parse_formula, "  @", "unexpected character '@'", 2),
+    (parse_formula, "x - > y", "unexpected character '-'", 2),
+    (parse_formula, "x <- y", "unexpected character '<'", 2),
+    (parse_sequent, "x || $", "unexpected character '$'", 5),
+    (parse_formula, "(x -> y", "expected ')'", 7),
+    (parse_formula, "[x y", "expected ']'", 3),
+    (parse_formula, "[x", "expected ']'", 2),
+    (parse_sequent, "(x || y)", "expected ')'", 3),
+    (parse_sequent, "[x || y]z", "expected ']'", 3),
+    (parse_formula, "x -> ", "expected a formula", 5),
+    (parse_formula, "x &", "expected a formula", 3),
+    (parse_formula, "~", "expected a formula", 1),
+    (parse_formula, "[x]", "expected a formula", 3),
+    (parse_sequent, "x ||", "expected a formula", 4),
+    (parse_formula, "x -> -> y", "expected a formula", 5),
+    (parse_formula, "()", "expected a formula", 1),
+    (parse_sequent, "x | | y", "expected a formula", 4),
+    (parse_sequent, "x |||| y", "expected a formula", 4),
+    (parse_formula, "x || y", "unexpected '||'", 2),
+    (parse_formula, "x )", "unexpected ')'", 2),
+    (parse_formula, "x y", "unexpected 'y'", 2),
+    (parse_sequent, "x || y )", "unexpected ')'", 7),
+    (parse_formula, "", "expected a formula", 0),
+    (parse_formula, "   ", "expected a formula", 3),
+    (parse_sequent, "", "expected a formula", 0),
+    (parse_sequent, " \t ", "expected a formula", 3),
+]
+
+
 def test_parse_errors_carry_positions():
-    with pytest.raises(FormulaParseError) as err:
-        parse_formula("x -> ")
-    assert err.value.position == 5
-    with pytest.raises(FormulaParseError) as err:
-        parse_formula("x )")
-    assert err.value.position == 2
-    with pytest.raises(FormulaParseError) as err:
-        parse_formula("[x y")
-    assert err.value.position == 3
-    with pytest.raises(FormulaParseError) as err:
-        parse_formula("x || y")
-    assert err.value.position == 2
-    with pytest.raises(FormulaParseError) as err:
-        parse_formula("x $ y")
-    assert err.value.position == 2
+    for parse, text, message, position in _MALFORMED:
+        with pytest.raises(FormulaParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position
+
+
+_TOKENS = ["x", "y", "T", "F", "(", ")", "[", "]", "~", "&", "|", "||",
+           "->", "<->", " "]
+
+
+@given(st.lists(st.sampled_from(_TOKENS), max_size=14).map("".join))
+def test_token_soup_parses_or_fails_inside_the_text(text):
+    try:
+        s = parse_sequent(text)
+    except FormulaParseError as err:
+        assert 0 <= err.position <= len(text)
+    else:
+        assert parse_sequent(format_sequent(s)) == s
 
 
 _formulas = st.recursive(

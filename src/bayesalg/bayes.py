@@ -386,6 +386,72 @@ def _conditional_atom_images(tower: Tower, x: Element) -> tuple["Tower", int, di
 _EXHAUSTIVE_ATOM_LIMIT = 8  # atoms up to which check_bayes_axioms tries every x
 
 
+def _axiom_events(
+    algebra: FiniteBooleanAlgebra, sample_elements: int = 32, seed: int = 0
+) -> list[Element]:
+    """The xs check_bayes_axioms tries when none are given."""
+    import random
+
+    if len(algebra.atoms) <= _EXHAUSTIVE_ATOM_LIMIT:
+        return [algebra.element_at(k) for k in range(1, algebra.size() - 1)]
+    rng = random.Random(seed)
+    return [algebra.element_at(rng.randrange(1, algebra.size() - 1))
+            for _ in range(sample_elements)]
+
+
+def _axiom_violations(x: Element, extension: tuple) -> list[str]:
+    """The laws of check_bayes_axioms for one nontrivial x, read from its
+    ``_conditional_atom_images`` result.
+
+    Conditioning the x-extension on its copy x' of x, or on ~x', repeats
+    the step that built it, so it would keep one pair (c, p(c)) per atom c,
+    p being the partner its blocks give. Through the bijection c -> (c,
+    p(c)) the swap of that stage is p, and the conditional of v is
+    (v & x') | p(v & x'); so introspection is read off the blocks.
+    """
+    fork, new, images = extension
+    algebra, upper = fork.algebra(new - 1), fork.algebra(new)
+    violations = []
+
+    # homomorphism: atom images tile the extension...
+    tiles = [images[a] for a in algebra.atoms if images[a]]
+    union = frozenset().union(*(im.atoms for im in tiles)) if tiles else frozenset()
+    overlap = sum(len(im.atoms) for im in tiles) != len(union)
+    if overlap or union != frozenset(upper.atoms):
+        violations.append(f"atom images of [{x}]- do not partition the extension")
+    # ...and nothing below x collapses
+    for a in x.atoms:
+        if not images[a]:
+            violations.append(f"[{x}]- collapses atom {a}")
+    # degenerate above x: [x]x is top
+    if frozenset().union(*(images[a].atoms for a in x.atoms)) != upper.top.atoms:
+        violations.append(f"[x]y != top although x <= y, x={x}, y={x}")
+    lift_x = fork.push(x, new - 1, new)
+    for a in algebra.atoms:
+        y = algebra.atom_element(a)
+        if lift_x & images[a] != lift_x & fork.push(y, new - 1, new):
+            violations.append(f"x & [x]y != x & y for x={x}, y={y}")
+    # conditioning the conditional on x (or on ~x) is idempotent
+    for again, label in ((lift_x, "x"), (~lift_x, "~x")):
+        blocks = fork._partner_blocks(again, fork.latest_matching_step(again))
+        partner = {c: next(iter(block))
+                   for c, block in blocks.items() if len(block) == 1}
+        if (len(partner) != len(blocks)
+                or any(partner.get(p) != c for c, p in partner.items())):
+            violations.append(
+                f"re-conditioning on {label} is not an atom bijection, x={x}")
+            continue
+        for a in algebra.atoms:
+            inside = images[a] & again
+            if inside | upper.element(partner[c] for c in inside.atoms) != images[a]:
+                violations.append(
+                    f"[{label}][x]y != [x]y for x={x},"
+                    f" y={algebra.atom_element(a)}"
+                )
+                break
+    return violations
+
+
 def check_bayes_axioms(
     tower: Tower,
     xs: Optional[list[Element]] = None,
@@ -410,60 +476,15 @@ def check_bayes_axioms(
     of the last two laws all preserve joins and bottom; so two sides that
     agree on every atom agree on every y, and those laws are checked per
     atom, which settles every y exactly. Degeneracy follows from [x]x ==
-    top, since f is monotone.
+    top, since f is monotone. Each x costs one extension of a fork.
 
     Algebras of at most eight atoms are checked for every x; larger ones
     for ``sample_elements`` xs drawn with ``seed``, the same sample in
     every process. Returns a list of human-readable violations, empty when
     every law holds.
     """
-    import random
-
     algebra = tower.top
     if xs is None:
-        if len(algebra.atoms) <= _EXHAUSTIVE_ATOM_LIMIT:
-            xs = [algebra.element_at(k) for k in range(1, algebra.size() - 1)]
-        else:
-            rng = random.Random(seed)
-            xs = [algebra.element_at(rng.randrange(1, algebra.size() - 1))
-                  for _ in range(sample_elements)]
-
-    violations = []
-    for x in xs:
-        if not x.atoms or x.atoms == frozenset(algebra.atoms):
-            continue
-        fork, new, images = _conditional_atom_images(tower, x)
-        upper = fork.algebra(new)
-
-        # homomorphism: atom images tile the extension...
-        tiles = [images[a] for a in algebra.atoms if images[a]]
-        union = frozenset().union(*(im.atoms for im in tiles)) if tiles else frozenset()
-        overlap = sum(len(im.atoms) for im in tiles) != len(union)
-        if overlap or union != frozenset(upper.atoms):
-            violations.append(f"atom images of [{x}]- do not partition the extension")
-        # ...and nothing below x collapses
-        for a in x.atoms:
-            if not images[a]:
-                violations.append(f"[{x}]- collapses atom {a}")
-        # degenerate above x: [x]x is top
-        if frozenset().union(*(images[a].atoms for a in x.atoms)) != upper.top.atoms:
-            violations.append(f"[x]y != top although x <= y, x={x}, y={x}")
-        lift_x = fork.push(x, new - 1, new)
-        for a in algebra.atoms:
-            y = algebra.atom_element(a)
-            if lift_x & images[a] != lift_x & fork.push(y, new - 1, new):
-                violations.append(f"x & [x]y != x & y for x={x}, y={y}")
-        # conditioning the conditional on x (or on ~x) is idempotent
-        for again, label in ((lift_x, "x"), (~lift_x, "~x")):
-            refork = fork.fork()
-            deeper = refork.extend(again)
-            lift_again = refork.push(again, new, deeper)
-            for a in algebra.atoms:
-                value = refork.push(images[a], new, deeper)
-                if refork.mirror_closure(deeper, value & lift_again) != value:
-                    violations.append(
-                        f"[{label}][x]y != [x]y for x={x},"
-                        f" y={algebra.atom_element(a)}"
-                    )
-                    break
-    return violations
+        xs = _axiom_events(algebra, sample_elements, seed)
+    return [line for x in xs if 0 < len(x.atoms) < len(algebra.atoms)
+            for line in _axiom_violations(x, _conditional_atom_images(tower, x))]

@@ -20,14 +20,14 @@ from .bayes import (
     TrivialEventError,
     cantor_pair,
     cantor_unpair,
-    check_bayes_axioms,
 )
 from .boolalg import Element, FiniteBooleanAlgebra, parse_element
 from .dbl.corpus import build_corpus
 from .dbl.proofs import check_derivation, derivation_from_json, derivation_to_json
 from .dbl.search import search_counterexample
 from .dbl.semantics import holds
-from .dbl.syntax import FormulaParseError, atom_names, parse_sequent
+from .dbl.syntax import (
+    FormulaParseError, Var, atom_names, parse_formula, parse_sequent)
 from .field import format_scalar, standard_part
 from .prob import (
     Distribution,
@@ -37,6 +37,7 @@ from .prob import (
     extend_distribution,
     lewis_candidates,
     prob_of,
+    verify_events,
 )
 
 __all__ = [
@@ -188,22 +189,23 @@ def cmd_prob(args) -> int:
     return 0
 
 
+_VERIFY_ATOM_LIMIT = 16  # verify lists every element of the top stage per x
+
+
 def cmd_verify(args) -> int:
     tower = _load_tower(args.tower, args.max_atoms)
+    atoms = len(tower.top.atoms)
+    if atoms > _VERIFY_ATOM_LIMIT:
+        raise UsageError(f"verify takes a top stage of at most {_VERIFY_ATOM_LIMIT}"
+                         f" atoms, this one has {atoms}")
     dist = _load_distribution(tower, args.dist)
-    axiom_failures = check_bayes_axioms(tower)
-    top = tower.top
-    size = top.size()
-    if size <= 16:
-        xs = list(top.elements())
-    else:
-        # eight distinct events strictly between bottom and top, spread
-        # over the index range
-        xs = [top.element_at(1 + k * 97 % (size - 2)) for k in range(8)]
+    xs, axiom_xs = verify_events(tower.top)
     try:
-        law = check_conditional_laws(tower, dist, xs, _positivity(args.field))
+        law = check_conditional_laws(
+            tower, dist, xs, _positivity(args.field), axiom_xs)
     except NullEventError as exc:
         return _null_event(exc, args.field)
+    axiom_failures = law["axiom_failures"]
     product_fail = law["product_failures"]
     marginal_fail = law["marginal_failures"]
     indep_fail = law["independence_failures"]
@@ -292,6 +294,14 @@ def _dbl_eval(args) -> int:
         name, eq, literal = binding.partition("=")
         if not eq:
             raise UsageError(f"--let needs NAME=ELEMENT, got {binding!r}")
+        try:
+            variable = parse_formula(name) == Var(name)
+        except FormulaParseError:
+            variable = False
+        if not variable:
+            raise UsageError(f"--let {binding!r}: {name!r} is not a formula variable")
+        if name in assignment:
+            raise UsageError(f"--let binds {name!r} more than once")
         try:
             assignment[name] = parse_element(algebra, literal)
         except ValueError as exc:

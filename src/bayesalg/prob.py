@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .bayes import Tower, _conditional_atom_images
+from .bayes import Tower, _axiom_events, _axiom_violations, _conditional_atom_images
 from .boolalg import Element, FiniteBooleanAlgebra
 from .field import (
     EPSILON,
@@ -57,6 +57,7 @@ __all__ = [
     "extend_distribution",
     "verify_conditional_law",
     "check_conditional_laws",
+    "verify_events",
     "lewis_candidates",
     "distribution_to_json",
     "distribution_from_json",
@@ -245,6 +246,7 @@ def _conditional_law(
     x: Element,
     ys: list[Element],
     positivity: str,
+    extension: Optional[tuple] = None,
 ) -> list:
     """Check the conditional law of [x]y for each y in ys, extending by x once.
 
@@ -253,10 +255,11 @@ def _conditional_law(
     or top, the value at the top when x repeats an earlier step and that
     step answers y, and otherwise the element of the extension by x. That
     extension and its distribution are built once, only if some y needs
-    them. There [x]- is a Boolean homomorphism whose atom images are
-    pairwise disjoint (check_bayes_axioms checks that they partition the
-    extension), so P([x]y) and P([x]y & ~x) are sums over y's atoms of
-    per-atom masses, and marginal preservation depends on x alone.
+    them; ``extension`` is that of ``_conditional_atom_images`` when the
+    caller already built it. There [x]- is a Boolean homomorphism whose atom
+    images are pairwise disjoint (check_bayes_axioms checks that they
+    partition the extension), so P([x]y) and P([x]y & ~x) are sums over y's
+    atoms of per-atom masses, and marginal preservation depends on x alone.
 
     Returns one report per y, with the keys of verify_conditional_law but
     ``p_conditional_std``; where [x]y needs the extension and its block
@@ -274,7 +277,7 @@ def _conditional_law(
 
     fresh = null = None
     if any(value is None for value in values):
-        fork, new, images = _conditional_atom_images(tower, x)
+        fork, new, images = extension or _conditional_atom_images(tower, x)
         try:
             at_new = extend_distribution(fork, at_top, new, positivity)
         except NullEventError as exc:
@@ -353,23 +356,36 @@ def check_conditional_laws(
     dist: Distribution,
     xs: list[Element],
     positivity: str = "error",
+    axiom_xs: Sequence[Element] = (),
 ) -> dict:
-    """The checks of verify_conditional_law for every x in xs and every y.
+    """The checks of verify_conditional_law for every x in xs and every y,
+    and those of check_bayes_axioms for every x in axiom_xs.
 
-    y runs over the whole top algebra, and each x costs one extension of
-    the tower and of the distribution. A pair whose extension meets a
+    y runs over the whole top algebra, and each distinct x of either list
+    costs at most one extension of the tower, read by both checks, and one
+    of the distribution. A pair whose extension meets a
     null block is counted as skipped; unless positivity is "error", dist
     is first made strictly positive (see _tangible), so only "error"
     skips pairs. Returns the counts ``pairs``,
     ``product_failures``, ``marginal_failures``, ``independence_failures``
-    and ``skipped_null``, and ``witnesses``: the first few failing
+    and ``skipped_null``; ``witnesses``: the first few failing
     (law, x, y) triples, in the order of xs and then of the top's
-    elements. Works on a fork, so the tower is unchanged.
+    elements; and ``axiom_failures``: check_bayes_axioms(tower, axiom_xs).
+    Works on a fork, so the tower is unchanged.
     """
     fork = tower.fork()
     ys = list(fork.top.elements())
     out = dict.fromkeys(["pairs", "skipped_null"] + [key for _, _, key in _LAWS], 0)
     witnesses = out["witnesses"] = []
+    # the extensions of xs in both lists wait here for the law pass
+    law_xs, axioms, kept = set(xs), {}, {}
+    for x in axiom_xs:
+        if x not in axioms and 0 < len(x.atoms) < len(fork.top.atoms):
+            extension = _conditional_atom_images(fork, x)
+            axioms[x] = _axiom_violations(x, extension)
+            if x in law_xs:
+                kept[x] = extension
+    out["axiom_failures"] = [line for x in axiom_xs for line in axioms.get(x, ())]
     dist = _tangible(dist, positivity)
     try:
         at_top = extend_distribution(fork, dist, fork.top_index, positivity)
@@ -377,7 +393,8 @@ def check_conditional_laws(
         out["pairs"] = out["skipped_null"] = len(xs) * len(ys)
         return out
     for x in xs:
-        for y, report in zip(ys, _conditional_law(fork, at_top, x, ys, positivity)):
+        reports = _conditional_law(fork, at_top, x, ys, positivity, kept.pop(x, None))
+        for y, report in zip(ys, reports):
             out["pairs"] += 1
             if isinstance(report, NullEventError):
                 out["skipped_null"] += 1
@@ -388,6 +405,18 @@ def check_conditional_laws(
                     if len(witnesses) < _WITNESS_LIMIT:
                         witnesses.append((law, x, y))
     return out
+
+
+def verify_events(algebra: FiniteBooleanAlgebra) -> tuple[list, list]:
+    """The (xs, axiom_xs) ``verify`` checks: every element of an algebra of
+    at most 16 elements, else eight distinct events strictly between bottom
+    and top spread over the index range; and check_bayes_axioms' own xs."""
+    size = algebra.size()
+    if size <= 16:
+        xs = list(algebra.elements())
+    else:
+        xs = [algebra.element_at(1 + k * 97 % (size - 2)) for k in range(8)]
+    return xs, _axiom_events(algebra)
 
 
 def lewis_candidates(

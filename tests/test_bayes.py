@@ -103,6 +103,47 @@ def test_conditional_laws_hold_on_small_towers():
     assert check_bayes_axioms(tower) == []
 
 
+def _rewire_repeat_partners(monkeypatch, rewire):
+    """Pass the blocks of every repeat step through rewire(blocks, inside),
+    inside being the top atoms in the conditioning event, in atom order."""
+    blocks_of = Tower._partner_blocks
+
+    def rewired(self, b, prior):
+        blocks = blocks_of(self, b, prior)
+        if prior is not None:
+            rewire(blocks, [a for a in self.top.atoms if a in b.atoms])
+        return blocks
+
+    monkeypatch.setattr(Tower, "_partner_blocks", rewired)
+
+
+def test_introspection_fails_on_a_wrong_repeat_partner(monkeypatch):
+    def cross(blocks, inside):
+        # the first and the last atom inside the event trade partners; the
+        # partner map stays an involution across the event
+        first, last = inside[0], inside[-1]
+        (p,), (q,) = blocks[first], blocks[last]
+        blocks[first], blocks[last] = frozenset((q,)), frozenset((p,))
+        blocks[p], blocks[q] = frozenset((last,)), frozenset((first,))
+
+    _rewire_repeat_partners(monkeypatch, cross)
+    violations = check_bayes_axioms(three_atom_tower())
+    assert any(v.startswith(("[x][x]y != [x]y", "[~x][x]y != [x]y"))
+               for v in violations), violations
+
+
+def test_introspection_needs_the_repeat_to_be_an_atom_bijection(monkeypatch):
+    def widen(blocks, inside):
+        blocks[inside[0]] = blocks[inside[0]] | blocks[inside[-1]]
+
+    _rewire_repeat_partners(monkeypatch, widen)
+    tower = three_atom_tower()
+    assert check_bayes_axioms(tower, [parse_element(tower.top, "{a,c}")]) == [
+        "re-conditioning on x is not an atom bijection, x={a,c}",
+        "re-conditioning on ~x is not an atom bijection, x={a,c}",
+    ]
+
+
 SAMPLE_SCRIPT = """
 import json
 import random

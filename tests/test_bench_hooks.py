@@ -3,17 +3,19 @@
 `bench/spans.py` times the layers by replacing functions and methods of
 the package from outside. A renamed or deleted name would break only the
 traced benchmark run; installing the tracer here makes it fail the suite.
+Its counters also pin how much work one `verify` does.
 """
 
+import json
 from pathlib import Path
 
-from bayesalg import boolalg, prob
+from bayesalg import boolalg, cli, prob
 from bayesalg.bayes import Tower
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def test_tracer_installs_counts_and_uninstalls(monkeypatch):
+def test_tracer_installs_counts_and_uninstalls(monkeypatch, tmp_path, capsys):
     monkeypatch.syspath_prepend(str(BENCH))
     from spans import Tracer
 
@@ -27,10 +29,21 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch):
         tower.extend(x)
         dist = prob.base_distribution(algebra, ["1/4", "1/4", "1/2"])
         prob.prob_of(prob.extend_distribution(tower, dist), tower.push(x, 0, 1))
+        before = dict(tracer.counts)
+        (tmp_path / "tower.json").write_text(json.dumps(Tower(algebra).to_json()))
+        (tmp_path / "dist.json").write_text(json.dumps(
+            {"stage": 0, "masses": {"a": "1/4", "c": "1/4", "d": "1/2"}}))
+        assert cli.main(["verify", str(tmp_path / "tower.json"),
+                         str(tmp_path / "dist.json")]) == 0
     finally:
         tracer.uninstall()
-    assert tracer.counts["bayes.extend.calls"] == 1
-    assert tracer.counts["prob.prob_of.calls"] >= 1
-    assert tracer.counts["prob.extend.calls"] == 1
+    assert before["bayes.extend.calls"] == 1
+    assert before["prob.prob_of.calls"] >= 1
+    assert before["prob.extend.calls"] == 1
+    # verify extends the 3-atom stage 0 once per nontrivial x, for both
+    # the structural and the probability laws
+    assert tracer.counts["bayes.extend.calls"] - before["bayes.extend.calls"] == 6
+    assert tracer.counts["prob.extend.calls"] > before["prob.extend.calls"]
+    assert capsys.readouterr().out.startswith("axioms: ok\n")
     assert tracer.time["boolalg.parse"] > 0
     assert (prob.prob_of, boolalg.parse_element, Tower.extend) == originals

@@ -166,11 +166,34 @@ def test_verify_json_names_failing_witnesses(files, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["verify", files["tower"], files["dist"], "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["ok"] is False and report["axiom_failures"] == []
+    # the structural laws read the same atom images, so they fail too
+    assert report["ok"] is False
+    assert report["axiom_failures"][:2] == [
+        "atom images of [{a}]- do not partition the extension",
+        "[{a}]- collapses atom a"]
     assert 0 < len(report["witnesses"]) <= 5
     assert report["witnesses"][0] == {"law": "product", "x": "{a}", "y": "{a}"}
     assert main(["verify", files["tower"], files["dist"]]) == 1
-    assert capsys.readouterr().out.startswith("axioms: ok\nconditional law: 64 pairs, ")
+    out = capsys.readouterr().out
+    assert out.startswith("axiom failure: atom images of [{a}]- do not partition")
+    assert "\nconditional law: 64 pairs, " in out
+
+
+def test_verify_refuses_a_top_stage_above_sixteen_atoms(files, capsys):
+    names = [f"w{i}" for i in range(17)]
+    algebra = files["dir"] / "big.json"
+    algebra.write_text(json.dumps({"atoms": names}))
+    dist = files["dir"] / "big-dist.json"
+    dist.write_text(json.dumps(
+        {"stage": 0, "masses": {name: "1/17" for name in names}}))
+    tower = str(files["dir"] / "big-tower.json")
+    assert main(["build", str(algebra), "-o", tower]) == 0
+    capsys.readouterr()
+    assert main(["verify", tower, str(dist)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: verify takes a top stage of at most 16 atoms, this one has 17\n")
 
 
 def test_lewis_reports_no_shared_candidate(files, capsys):
@@ -209,6 +232,26 @@ def test_dbl_eval_requires_bindings(files, capsys):
     assert main(["dbl", "eval", str(seqs), "--atoms", "a,c,d",
                  "--let", "x={a}"]) == 2
     assert "unbound variables: y" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lets, message", [
+    (["T={a}"], "--let 'T={a}': 'T' is not a formula variable"),
+    (["1x={c}"], "--let '1x={c}': '1x' is not a formula variable"),
+    (["x y={c}"], "--let 'x y={c}': 'x y' is not a formula variable"),
+    (["x={a}", "x={c}"], "--let binds 'x' more than once"),
+], ids=["constant", "digit-first", "space", "twice"])
+def test_dbl_eval_rejects_bindings_no_formula_can_use(files, capsys, lets,
+                                                      message):
+    seqs = files["dir"] / "seqs.txt"
+    seqs.write_text("x | ~x\n")
+    argv = ["dbl", "eval", str(seqs), "--atoms", "a,c,d"]
+    capsys.readouterr()
+    assert main(argv + [arg for let in lets for arg in ("--let", let)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    # a variable no line uses stays accepted
+    assert main(argv + ["--let", "x={a}", "--let", "g_2={c}"]) == 0
 
 
 def test_dbl_search(files, capsys):

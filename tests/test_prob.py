@@ -259,7 +259,10 @@ def test_batched_law_checker_reports_a_wrong_atom_image(monkeypatch):
         return fork, new, images
 
     monkeypatch.setattr(prob, "_conditional_atom_images", wrong_image_of_a)
-    report = check_conditional_laws(tower, dist, [x])
+    report = check_conditional_laws(tower, dist, [x], axiom_xs=[x])
+    # the structural laws read the same atom images, so they fail too
+    assert report["axiom_failures"][0] == (
+        "atom images of [{a,c}]- do not partition the extension")
     assert report["product_failures"] > 0
     law, at_x, at_y = report["witnesses"][0]
     assert (law, at_x) == ("product", x)

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
-from .boolalg import Element, FiniteBooleanAlgebra
+from .boolalg import Element, FiniteBooleanAlgebra, bits
 
 __all__ = [
     "Tower",
@@ -67,6 +68,14 @@ def cantor_unpair(n: int) -> tuple[int, int]:
     return i, w - i
 
 
+def _join(lifts: tuple, mask: int) -> int:
+    """The OR of lifts[i] over the set bits i of mask."""
+    out = 0
+    for i in bits(mask):
+        out |= lifts[i]
+    return out
+
+
 @dataclass
 class Step:
     """How stage ``index`` arises from stage ``index - 1``."""
@@ -74,9 +83,9 @@ class Step:
     index: int
     base: Element  # element of the lower stage that was conditioned on
     algebra: FiniteBooleanAlgebra
-    pairs: tuple  # the lower atoms (w, u) of each upper atom, in atom order
-    psi: dict  # lower atom -> frozenset of upper atoms (its embedded image)
-    t: dict  # pair-swap permutation on upper atoms
+    pairs: tuple  # the lower atom labels (w, u) of each upper atom, in atom order
+    psi: tuple  # per lower atom index, the mask of its embedded image
+    t: tuple  # the pair swap: upper atom index -> index of its swapped pair
     prior_step: Optional[int] = None  # step whose conditioning this repeats
     prior_negated: bool = False
 
@@ -93,7 +102,7 @@ class Tower:
         self.base = base
         self.max_atoms = max_atoms
         self.steps: list[Step] = []
-        self._fibers: dict = {}  # (i, j) -> {atom_i: frozenset of atoms_j}
+        self._fibers: dict = {}  # (i, j) -> per stage-i atom, the stage-j mask above it
 
     # --- shape ----------------------------------------------------------
 
@@ -122,48 +131,46 @@ class Tower:
 
     # --- embeddings -------------------------------------------------------
 
-    def fiber_map(self, low: int, high: int) -> dict:
-        """Atom of stage ``low`` -> frozenset of stage ``high`` atoms above it."""
+    def _lifts(self, low: int, high: int) -> tuple:
+        """Per stage ``low`` atom, the mask of the stage ``high`` atoms above it."""
         if not 0 <= low <= high <= self.top_index:
             raise ValueError(f"bad stage span {low}..{high}")
-        if low == high:
-            return {a: frozenset((a,)) for a in self.algebra(low).atoms}
-        key = (low, high)
-        cached = self._fibers.get(key)
+        cached = self._fibers.get((low, high))
         if cached is not None:
             return cached
-        below = self.fiber_map(low, high - 1)
-        lift = self.steps[high - 1].psi
-        out = {
-            a: frozenset(top for mid in mids for top in lift[mid])
-            for a, mids in below.items()
-        }
-        self._fibers[key] = out
+        if low == high:
+            out = tuple(1 << i for i in range(len(self.algebra(low).atoms)))
+        else:
+            psi = self.steps[high - 1].psi
+            out = tuple(_join(psi, mask) for mask in self._lifts(low, high - 1))
+        self._fibers[low, high] = out
         return out
+
+    def fiber_map(self, low: int, high: int) -> dict:
+        """Atom label of stage ``low`` -> the stage ``high`` element above it."""
+        lifts, upper = self._lifts(low, high), self.algebra(high)
+        return {a: Element(upper, mask) for a, mask in zip(self.algebra(low).atoms, lifts)}
 
     def push(self, x: Element, low: int, high: int) -> Element:
         """Embed an element of stage ``low`` into stage ``high``."""
-        if low == high:
-            if not 0 <= low <= self.top_index:
-                raise ValueError(f"bad stage span {low}..{high}")
-            self.algebra(low)._require_own(x)
-            return x
-        fibers = self.fiber_map(low, high)
-        return self.algebra(high).element(
-            a for atom in x.atoms for a in fibers[atom]
-        )
+        lifts = self._lifts(low, high)
+        self.algebra(low)._require_own(x)
+        return x if low == high else Element(self.algebra(high), _join(lifts, x.mask))
 
     def pull(self, x: Element, high: int, low: int) -> Optional[Element]:
         """Preimage under the embedding, or None if x is not in its range."""
-        fibers = self.fiber_map(low, high)
-        kept = [a for a, fib in fibers.items() if fib <= x.atoms]
-        if sum(len(fibers[a]) for a in kept) != len(x.atoms):
+        lifts = self._lifts(low, high)
+        self.algebra(high)._require_own(x)
+        kept = sum(1 << i for i, lift in enumerate(lifts) if lift & ~x.mask == 0)
+        if _join(lifts, kept) != x.mask:
             return None
-        return self.algebra(low).element(kept)
+        return Element(self.algebra(low), kept)
 
     def transpose(self, stage: int, x: Element) -> Element:
-        t = self.steps[stage - 1].t
-        return self.algebra(stage).element(t[a] for a in x.atoms)
+        algebra, swap = self.algebra(stage), self.steps[stage - 1].t
+        algebra._require_own(x)
+        # the swap is a permutation, so the sum of distinct bits is their join
+        return Element(algebra, sum(1 << swap[i] for i in bits(x.mask)))
 
     def mirror_closure(self, stage: int, x: Element) -> Element:
         """x | t(x) at the given stage."""
@@ -187,28 +194,26 @@ class Tower:
                 return idx, True
         return None
 
-    def _partner_blocks(self, b: Element, prior: Optional[tuple[int, bool]]) -> dict:
-        """For each top atom, the set of allowed second components.
+    def _partner_blocks(self, b: Element, prior: Optional[tuple[int, bool]]) -> list:
+        """Per top atom index, the mask of its allowed second components.
 
         ``prior`` is ``latest_matching_step(b)``.
         """
-        top = self.top_index
-        algebra = self.top
-        inside = b.atoms
-        outside = frozenset(algebra.atoms) - inside
+        inside, outside = b.mask, (~b).mask
         if prior is None:
-            return {a: (outside if a in inside else inside) for a in algebra.atoms}
+            return [outside if inside >> a & 1 else inside
+                    for a in range(len(self.top.atoms))]
         k, _ = prior
-        fibers = self.fiber_map(k, top)
-        beta = {a: low for low, fib in fibers.items() for a in fib}
+        lifts = self._lifts(k, self.top_index)
         t_k = self.steps[k - 1].t
-        blocks = {}
-        for a in algebra.atoms:
-            partner = fibers[t_k[beta[a]]]
-            # the swap moves across the conditioning event, so partner
-            # fibers sit on the other side of b automatically
-            assert partner <= (outside if a in inside else inside)
-            blocks[a] = partner
+        blocks = [0] * len(self.top.atoms)
+        for c, lift in enumerate(lifts):
+            partner = lifts[t_k[c]]
+            for a in bits(lift):
+                # the swap moves across the conditioning event, so partner
+                # fibers sit on the other side of b automatically
+                assert not partner & (inside if inside >> a & 1 else outside)
+                blocks[a] = partner
         return blocks
 
     def extend(self, b: Element) -> int:
@@ -219,30 +224,33 @@ class Tower:
         """
         algebra = self.top
         algebra._require_own(b)
-        if not b.atoms or b.atoms == frozenset(algebra.atoms):
+        if not b or b == algebra.top:
             raise TrivialEventError("conditioning event must be nontrivial")
         prior = self.latest_matching_step(b)
         blocks = self._partner_blocks(b, prior)
-        count = sum(len(v) for v in blocks.values())
+        sizes = [block.bit_count() for block in blocks]
+        count = sum(sizes)
         if count > self.max_atoms:
             raise TowerGrowthError(
                 f"extension needs {count} atoms, budget is {self.max_atoms}"
             )
-        order = algebra._atom_index
-        pairs = tuple((w, u) for w in algebra.atoms
-                      for u in sorted(blocks[w], key=order.__getitem__))
-        labels = [f"({w},{u})" for w, u in pairs]
-        upper = FiniteBooleanAlgebra(labels)
-        psi = {w: frozenset(f"({w},{u})" for u in blocks[w]) for w in algebra.atoms}
-        t = {label: f"({u},{w})" for label, (w, u) in zip(labels, pairs)}
-        assert all(v in upper._atom_index for v in t.values())
+        # the pairs (w, u) run in atom order of w, then of u, so the image
+        # of w is the run of sizes[w] pairs from starts[w]
+        starts = list(accumulate(sizes, initial=0))
+        pairs, t = [], []
+        for w, block in enumerate(blocks):
+            for u in bits(block):
+                assert blocks[u] >> w & 1, "partner blocks are not symmetric"
+                pairs.append((algebra.atoms[w], algebra.atoms[u]))
+                # (u, w) follows the partners of u below w in the run of u
+                t.append(starts[u] + (blocks[u] & ((1 << w) - 1)).bit_count())
         step = Step(
             index=self.top_index + 1,
             base=b,
-            algebra=upper,
-            pairs=pairs,
-            psi=psi,
-            t=t,
+            algebra=FiniteBooleanAlgebra(f"({w},{u})" for w, u in pairs),
+            pairs=tuple(pairs),
+            psi=tuple(((1 << n) - 1) << start for n, start in zip(sizes, starts)),
+            t=tuple(t),
             prior_step=prior[0] if prior else None,
             prior_negated=prior[1] if prior else False,
         )
@@ -269,7 +277,7 @@ class Tower:
         algebra._require_own(y)
         if mode not in ("auto", "fresh", "shortcut"):
             raise ValueError(f"unknown mode {mode!r}")
-        if not x.atoms or x.atoms == frozenset(algebra.atoms):
+        if not x or x == algebra.top:
             return y, self.top_index
         if mode != "fresh":
             found = self._shortcut(self.latest_matching_step(x), y)
@@ -370,16 +378,13 @@ def _labelled_element(algebra: FiniteBooleanAlgebra, labels) -> Element:
 # --- law checking ----------------------------------------------------------
 
 
-def _conditional_atom_images(tower: Tower, x: Element) -> tuple["Tower", int, dict]:
-    """Fork, extend by x, and map each atom a to [x]{a} in the new stage."""
+def _conditional_atom_images(tower: Tower, x: Element) -> tuple["Tower", int, list]:
+    """Fork, extend by x, and list [x]{a} in the new stage per atom a."""
     fork = tower.fork()
     new = fork.extend(x)
-    algebra = tower.top
-    lift_x = fork.push(x, new - 1, new)
-    images = {}
-    for a in algebra.atoms:
-        lifted = fork.push(algebra.atom_element(a), new - 1, new)
-        images[a] = fork.mirror_closure(new, lifted & lift_x)
+    lift_x = fork.push(x, new - 1, new).mask
+    images = [fork.mirror_closure(new, Element(fork.top, lift & lift_x))
+              for lift in fork.step(new).psi]
     return fork, new, images
 
 
@@ -392,11 +397,11 @@ def _axiom_events(
     """The xs check_bayes_axioms tries when none are given."""
     import random
 
+    events = range(1, algebra.size() - 1)
     if len(algebra.atoms) <= _EXHAUSTIVE_ATOM_LIMIT:
-        return [algebra.element_at(k) for k in range(1, algebra.size() - 1)]
-    rng = random.Random(seed)
-    return [algebra.element_at(rng.randrange(1, algebra.size() - 1))
-            for _ in range(sample_elements)]
+        return [Element(algebra, k) for k in events]
+    drawn = random.Random(seed).sample(events, min(sample_elements, len(events)))
+    return [Element(algebra, k) for k in drawn]
 
 
 def _axiom_violations(x: Element, extension: tuple) -> list[str]:
@@ -413,40 +418,38 @@ def _axiom_violations(x: Element, extension: tuple) -> list[str]:
     algebra, upper = fork.algebra(new - 1), fork.algebra(new)
     violations = []
 
+    masks = [image.mask for image in images]
     # homomorphism: atom images tile the extension...
-    tiles = [images[a] for a in algebra.atoms if images[a]]
-    union = frozenset().union(*(im.atoms for im in tiles)) if tiles else frozenset()
-    overlap = sum(len(im.atoms) for im in tiles) != len(union)
-    if overlap or union != frozenset(upper.atoms):
+    if (_join(masks, algebra.top.mask) != upper.top.mask
+            or sum(mask.bit_count() for mask in masks) != len(upper.atoms)):
         violations.append(f"atom images of [{x}]- do not partition the extension")
     # ...and nothing below x collapses
-    for a in x.atoms:
-        if not images[a]:
-            violations.append(f"[{x}]- collapses atom {a}")
+    for i in bits(x.mask):
+        if not masks[i]:
+            violations.append(f"[{x}]- collapses atom {algebra.atoms[i]}")
     # degenerate above x: [x]x is top
-    if frozenset().union(*(images[a].atoms for a in x.atoms)) != upper.top.atoms:
+    if _join(masks, x.mask) != upper.top.mask:
         violations.append(f"[x]y != top although x <= y, x={x}, y={x}")
     lift_x = fork.push(x, new - 1, new)
-    for a in algebra.atoms:
-        y = algebra.atom_element(a)
-        if lift_x & images[a] != lift_x & fork.push(y, new - 1, new):
-            violations.append(f"x & [x]y != x & y for x={x}, y={y}")
+    for i, lift in enumerate(fork.step(new).psi):
+        if lift_x.mask & masks[i] != lift_x.mask & lift:
+            violations.append(
+                f"x & [x]y != x & y for x={x}, y={Element(algebra, 1 << i)}")
     # conditioning the conditional on x (or on ~x) is idempotent
     for again, label in ((lift_x, "x"), (~lift_x, "~x")):
         blocks = fork._partner_blocks(again, fork.latest_matching_step(again))
-        partner = {c: next(iter(block))
-                   for c, block in blocks.items() if len(block) == 1}
-        if (len(partner) != len(blocks)
-                or any(partner.get(p) != c for c, p in partner.items())):
+        if (any(block.bit_count() != 1 for block in blocks)
+                or any(blocks[block.bit_length() - 1] != 1 << c
+                       for c, block in enumerate(blocks))):
             violations.append(
                 f"re-conditioning on {label} is not an atom bijection, x={x}")
             continue
-        for a in algebra.atoms:
-            inside = images[a] & again
-            if inside | upper.element(partner[c] for c in inside.atoms) != images[a]:
+        for i, image in enumerate(masks):
+            inside = image & again.mask
+            if inside | _join(blocks, inside) != image:
                 violations.append(
                     f"[{label}][x]y != [x]y for x={x},"
-                    f" y={algebra.atom_element(a)}"
+                    f" y={Element(algebra, 1 << i)}"
                 )
                 break
     return violations
@@ -479,12 +482,12 @@ def check_bayes_axioms(
     top, since f is monotone. Each x costs one extension of a fork.
 
     Algebras of at most eight atoms are checked for every x; larger ones
-    for ``sample_elements`` xs drawn with ``seed``, the same sample in
-    every process. Returns a list of human-readable violations, empty when
-    every law holds.
+    for ``sample_elements`` distinct xs drawn with ``seed``, the same
+    sample in every process. Returns a list of human-readable violations,
+    empty when every law holds.
     """
     algebra = tower.top
     if xs is None:
         xs = _axiom_events(algebra, sample_elements, seed)
-    return [line for x in xs if 0 < len(x.atoms) < len(algebra.atoms)
+    return [line for x in xs if 0 < len(x) < len(algebra.atoms)
             for line in _axiom_violations(x, _conditional_atom_images(tower, x))]

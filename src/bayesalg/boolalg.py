@@ -1,11 +1,12 @@
 """Finite Boolean algebras presented by their atoms.
 
 A finite Boolean algebra is determined by a finite ordered set of atoms;
-every element is a join of atoms and is represented here as a frozenset of
-them. An atom is its label string: a plain name, or, for algebras produced
-by the conditional-extension construction, the text ``(w,u)`` of an ordered
-pair of atoms of the stage below. The atom order fixes a bitmask
-enumeration of elements (index 0 is bottom, all-ones is top).
+every element is a join of atoms and is represented here by one int, its
+mask over the atom order (bit i set when the i-th atom is below it; 0 is
+bottom, all ones is top). An atom's label is a plain name, or, for algebras
+produced by the conditional-extension construction, the text ``(w,u)`` of
+an ordered pair of atoms of the stage below. Labels appear only where text
+enters (``element``, ``parse_element``) or leaves (iteration, ``str``).
 
 The constructor checks names and trusts pair labels, which the tower builds
 from checked atoms. Pair-label grammar is checked once, where text enters:
@@ -30,6 +31,7 @@ __all__ = [
     "parse_element",
     "format_element",
     "ElementParseError",
+    "bits",
 ]
 
 
@@ -80,6 +82,14 @@ def parse_atom_label(text: str) -> Atom:
     return text
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FiniteBooleanAlgebra:
     """Ordered atom set plus element constructors and enumeration."""
 
@@ -100,19 +110,23 @@ class FiniteBooleanAlgebra:
         return cls(parse_atom_label(part) for part in _split_top_level(names))
 
     def element(self, atoms: Iterable[Atom] = ()) -> "Element":
-        atom_set = frozenset(atoms)
-        for a in atom_set:
-            if a not in self._atom_index:
-                raise ValueError(f"atom {a!r} is not in this algebra")
-        return Element(self, atom_set)
+        """The join of the atoms with these labels."""
+        mask = 0
+        for a in atoms:
+            index = self._atom_index.get(a)
+            if index is None:
+                raise ElementParseError(
+                    f"unknown atom {a!r}; algebra has " + ", ".join(self.atoms))
+            mask |= 1 << index
+        return Element(self, mask)
 
     @property
     def bottom(self) -> "Element":
-        return Element(self, frozenset())
+        return Element(self, 0)
 
     @property
     def top(self) -> "Element":
-        return Element(self, frozenset(self.atoms))
+        return Element(self, self.size() - 1)
 
     def atom_element(self, atom: Atom) -> "Element":
         return self.element((atom,))
@@ -122,21 +136,18 @@ class FiniteBooleanAlgebra:
         return 1 << len(self.atoms)
 
     def element_at(self, index: int) -> "Element":
-        """Element whose atom set is the bitmask ``index`` over the atom order."""
+        """The element whose mask is ``index``."""
         if not 0 <= index < self.size():
             raise ValueError(f"element index {index} out of range")
-        return Element(
-            self,
-            frozenset(a for i, a in enumerate(self.atoms) if index >> i & 1),
-        )
+        return Element(self, index)
 
     def index_of(self, x: "Element") -> int:
         self._require_own(x)
-        return sum(1 << self._atom_index[a] for a in x.atoms)
+        return x.mask
 
     def elements(self) -> Iterator["Element"]:
         for k in range(self.size()):
-            yield self.element_at(k)
+            yield Element(self, k)
 
     def _require_own(self, x: "Element"):
         if x.algebra is not self and x.algebra.atoms != self.atoms:
@@ -166,77 +177,67 @@ class FiniteBooleanAlgebra:
 
 
 class Element:
-    """An element of a fixed finite Boolean algebra, as a set of atoms.
+    """An element of a fixed finite Boolean algebra, as a mask over its atoms.
 
     Supports & | ~ for meet, join and complement, - for relative
     complement, and <= for the lattice order.
     """
 
-    __slots__ = ("algebra", "atoms")
+    __slots__ = ("algebra", "mask")
 
-    def __init__(self, algebra: FiniteBooleanAlgebra, atoms: frozenset):
+    def __init__(self, algebra: FiniteBooleanAlgebra, mask: int):
         self.algebra = algebra
-        self.atoms = atoms
+        self.mask = mask
 
-    def _check(self, other: "Element") -> "Element":
+    @property
+    def atoms(self) -> frozenset:
+        """The labels of the atoms below this element."""
+        return frozenset(self)
+
+    def _check(self, other: "Element") -> int:
         if not isinstance(other, Element):
             raise TypeError(f"expected an Element, got {other!r}")
-        if other.algebra is not self.algebra and other.algebra.atoms != self.algebra.atoms:
-            raise ValueError("elements of different algebras")
-        return other
+        if other.algebra is not self.algebra:
+            self.algebra._require_own(other)
+        return other.mask
 
     def __and__(self, other: "Element") -> "Element":
-        return Element(self.algebra, self.atoms & self._check(other).atoms)
+        return Element(self.algebra, self.mask & self._check(other))
 
     def __or__(self, other: "Element") -> "Element":
-        return Element(self.algebra, self.atoms | self._check(other).atoms)
+        return Element(self.algebra, self.mask | self._check(other))
 
     def __sub__(self, other: "Element") -> "Element":
-        return Element(self.algebra, self.atoms - self._check(other).atoms)
+        return Element(self.algebra, self.mask & ~self._check(other))
 
     def __invert__(self) -> "Element":
-        return Element(self.algebra, frozenset(self.algebra.atoms) - self.atoms)
+        return Element(self.algebra, (self.algebra.size() - 1) ^ self.mask)
 
+    # >= and > are these two with the operands swapped
     def __le__(self, other: "Element") -> bool:
-        return self.atoms <= self._check(other).atoms
+        return self.mask & ~self._check(other) == 0
 
     def __lt__(self, other: "Element") -> bool:
-        return self.atoms < self._check(other).atoms
-
-    def __ge__(self, other: "Element") -> bool:
-        return self.atoms >= self._check(other).atoms
-
-    def __gt__(self, other: "Element") -> bool:
-        return self.atoms > self._check(other).atoms
+        return self <= other and self.mask != other.mask
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Element)
-            and self.algebra.atoms == other.algebra.atoms
-            and self.atoms == other.atoms
-        )
+        return (isinstance(other, Element) and self.mask == other.mask
+                and (self.algebra is other.algebra or self.algebra == other.algebra))
 
     def __hash__(self) -> int:
-        return hash(self.atoms)
+        return hash(self.mask)
 
-    def __bool__(self) -> bool:
-        return bool(self.atoms)
-
+    # truth and membership fall back to these two
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[Atom]:
-        order = self.algebra._atom_index
-        return iter(sorted(self.atoms, key=order.__getitem__))
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self.atoms
+        return map(self.algebra.atoms.__getitem__, bits(self.mask))
 
     def __str__(self) -> str:
         return format_element(self)
 
-    def __repr__(self) -> str:
-        return format_element(self)
+    __repr__ = __str__
 
 
 def format_element(x: Element) -> str:
@@ -251,10 +252,4 @@ def parse_element(algebra: FiniteBooleanAlgebra, text: str) -> Element:
     inner = text[1:-1].strip()
     if not inner:
         return algebra.bottom
-    atoms = [part.strip() for part in _split_top_level(inner)]
-    for atom in atoms:
-        if atom not in algebra._atom_index:
-            raise ElementParseError(
-                f"unknown atom {atom!r}; algebra has " + ", ".join(algebra.atoms)
-            )
-    return algebra.element(atoms)
+    return algebra.element(part.strip() for part in _split_top_level(inner))

@@ -120,7 +120,7 @@ def base_distribution(
 
 def prob_of(dist: Distribution, x: Element) -> Scalar:
     dist.algebra._require_own(x)
-    return _total(dist.masses, x.atoms)
+    return _total(dist.masses, x)
 
 
 def _total(masses: dict, atoms) -> Scalar:
@@ -183,8 +183,8 @@ def _extend_once(tower: Tower, dist: Distribution) -> Distribution:
         masses[atom] = dist.masses[w] * dist.masses[u] / block_mass[w]
     # the embedded copy of the lower stage keeps its probabilities; the
     # image of w is exactly its block of pairs (w, u)
-    for w in dist.algebra.atoms:
-        total = _total(masses, step.psi[w])
+    for w, image in zip(dist.algebra.atoms, step.psi):
+        total = _total(masses, Element(step.algebra, image))
         if total != dist.masses[w]:
             raise RuntimeError(
                 f"block rule broke the embedding at {w}: its"
@@ -269,7 +269,7 @@ def _conditional_law(
     top = tower.top
     p_x = prob_of(at_top, x)
     p_not_x = prob_of(at_top, ~x)
-    if not x.atoms or x.atoms == frozenset(top.atoms):
+    if not x or x == top.top:
         values = list(ys)
     else:
         prior = tower.latest_matching_step(x)
@@ -284,14 +284,14 @@ def _conditional_law(
             null = exc
         else:
             marginals = all(
-                prob_of(at_new, fork.push(top.atom_element(a), new - 1, new))
-                == at_top.masses[a]
-                for a in top.atoms
+                prob_of(at_new, Element(fork.top, lift)) == at_top.masses[a]
+                for a, lift in zip(top.atoms, fork.step(new).psi)
             )
             # corollary: the conditional is independent of the complement of x
             not_x = fork.push(~x, new - 1, new)
-            value_mass = {a: prob_of(at_new, images[a]) for a in top.atoms}
-            not_x_mass = {a: prob_of(at_new, images[a] & not_x) for a in top.atoms}
+            value_mass = {a: prob_of(at_new, image) for a, image in zip(top.atoms, images)}
+            not_x_mass = {a: prob_of(at_new, image & not_x)
+                          for a, image in zip(top.atoms, images)}
             fresh = new, marginals, value_mass, not_x_mass
 
     reports = []
@@ -305,9 +305,9 @@ def _conditional_law(
             continue
         else:
             stage, marginals, value_mass, not_x_mass = fresh
-            p_value = _total(value_mass, y.atoms)
-            p_value_not_x = _total(not_x_mass, y.atoms)
-        p_xy = _total(at_top.masses, x.atoms & y.atoms)
+            p_value = _total(value_mass, y)
+            p_value_not_x = _total(not_x_mass, y)
+        p_xy = _total(at_top.masses, x & y)
         reports.append({
             "stage": stage,
             "p_x": p_x,
@@ -380,7 +380,7 @@ def check_conditional_laws(
     # the extensions of xs in both lists wait here for the law pass
     law_xs, axioms, kept = set(xs), {}, {}
     for x in axiom_xs:
-        if x not in axioms and 0 < len(x.atoms) < len(fork.top.atoms):
+        if x not in axioms and 0 < len(x) < len(fork.top.atoms):
             extension = _conditional_atom_images(fork, x)
             axioms[x] = _axiom_violations(x, extension)
             if x in law_xs:

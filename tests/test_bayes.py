@@ -11,6 +11,7 @@ import pytest
 from bayesalg.bayes import (
     Tower,
     TowerGrowthError,
+    _axiom_events,
     cantor_pair,
     cantor_unpair,
     check_bayes_axioms,
@@ -64,8 +65,9 @@ def test_immediate_reconditioning_is_an_atom_bijection():
     assert len(after) == len(before)
     pairs = tower.step(2).pairs
     assert {w for w, _ in pairs} == set(before)
+    swap = tower.step(1).t
     for (w, u) in pairs:
-        assert tower.step(1).t[w] == u
+        assert before[swap[before.index(w)]] == u
     # and so does conditioning on the complement
     twin = tower.fork()
     twin.steps = twin.steps[:1]
@@ -105,13 +107,14 @@ def test_conditional_laws_hold_on_small_towers():
 
 def _rewire_repeat_partners(monkeypatch, rewire):
     """Pass the blocks of every repeat step through rewire(blocks, inside),
-    inside being the top atoms in the conditioning event, in atom order."""
+    blocks being the partner mask of each top atom index and inside the
+    indices of the top atoms in the conditioning event, in atom order."""
     blocks_of = Tower._partner_blocks
 
     def rewired(self, b, prior):
         blocks = blocks_of(self, b, prior)
         if prior is not None:
-            rewire(blocks, [a for a in self.top.atoms if a in b.atoms])
+            rewire(blocks, [a for a in range(len(self.top.atoms)) if b.mask >> a & 1])
         return blocks
 
     monkeypatch.setattr(Tower, "_partner_blocks", rewired)
@@ -122,9 +125,10 @@ def test_introspection_fails_on_a_wrong_repeat_partner(monkeypatch):
         # the first and the last atom inside the event trade partners; the
         # partner map stays an involution across the event
         first, last = inside[0], inside[-1]
-        (p,), (q,) = blocks[first], blocks[last]
-        blocks[first], blocks[last] = frozenset((q,)), frozenset((p,))
-        blocks[p], blocks[q] = frozenset((last,)), frozenset((first,))
+        assert blocks[first].bit_count() == blocks[last].bit_count() == 1
+        p, q = blocks[first].bit_length() - 1, blocks[last].bit_length() - 1
+        blocks[first], blocks[last] = 1 << q, 1 << p
+        blocks[p], blocks[q] = 1 << last, 1 << first
 
     _rewire_repeat_partners(monkeypatch, cross)
     violations = check_bayes_axioms(three_atom_tower())
@@ -152,10 +156,10 @@ from bayesalg.boolalg import FiniteBooleanAlgebra
 
 drawn = []
 class Recording(random.Random):
-    def randrange(self, *args):
-        value = super().randrange(*args)
-        drawn.append(value)
-        return value
+    def sample(self, *args, **kwargs):
+        values = super().sample(*args, **kwargs)
+        drawn.extend(values)
+        return values
 
 random.Random = Recording
 tower = Tower(FiniteBooleanAlgebra.from_names("a,b,c,d,f,g,h,i,j"))
@@ -232,3 +236,11 @@ def test_push_within_one_stage_is_the_identity_after_the_span_checks():
     other = FiniteBooleanAlgebra.from_names("a,b")
     with pytest.raises(ValueError, match="different algebra"):
         tower.push(other.top, 0, 0)
+
+
+@pytest.mark.parametrize("atoms", [9, 10, 12, 16])
+def test_law_check_sample_holds_distinct_events(atoms):
+    algebra = FiniteBooleanAlgebra(f"a{i}" for i in range(atoms))
+    events = _axiom_events(algebra)
+    assert len(events) == len(set(events)) == 32
+    assert all(0 < len(x.atoms) < atoms for x in events)

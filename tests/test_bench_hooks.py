@@ -47,3 +47,30 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("axioms: ok\n")
     assert tracer.time["boolalg.parse"] > 0
     assert (prob.prob_of, boolalg.parse_element, Tower.extend) == originals
+
+
+def test_tracer_counts_fresh_and_shortcut_conditionals(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from spans import Tracer
+
+    tower = Tower(boolalg.FiniteBooleanAlgebra.from_names("a,c,d"))
+    tower.extend(boolalg.parse_element(tower.top, "{a,c}"))
+    dump = tmp_path / "tower.json"
+    dump.write_text(json.dumps(tower.to_json()))
+    tracer = Tracer()
+    try:
+        tracer.install()
+        # {(a,d)} conditions on something new; {(a,d),(c,d)}, the image of
+        # {a,c}, repeats step 1, which answers it without growing
+        assert cli.main(["cond", str(dump), "{(a,d)}", "{(a,d),(d,a)}"]) == 0
+        assert cli.main(["cond", str(dump), "{(a,d),(c,d)}", "{(a,d),(d,a)}"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out.splitlines() == [
+        "stage 2: {((a,d),(c,d)),((a,d),(d,a)),((a,d),(d,c)),"
+        "((c,d),(a,d)),((d,a),(a,d)),((d,c),(a,d))}",
+        "stage 1: {(a,d),(d,a)}",
+    ]
+    counts = tracer.counts
+    assert (counts["bayes.conditional.calls"], counts["bayes.conditional.nontrivial"],
+            counts["bayes.conditional.shortcut"]) == (2, 2, 1)

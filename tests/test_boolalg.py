@@ -73,24 +73,59 @@ def test_json_round_trip():
 
 
 @st.composite
-def algebra_and_elements(draw, max_atoms=9, count=3):
+def algebra_and_masks(draw, max_atoms=9, count=3):
     n = draw(st.integers(min_value=1, max_value=max_atoms))
     alg = FiniteBooleanAlgebra(f"a{i}" for i in range(n))
-    picks = [
-        alg.element_at(draw(st.integers(min_value=0, max_value=alg.size() - 1)))
-        for _ in range(count)
-    ]
-    return (alg, *picks)
+    masks = [draw(st.integers(min_value=0, max_value=alg.size() - 1))
+             for _ in range(count)]
+    return (alg, *masks)
 
 
-@given(algebra_and_elements())
+@given(algebra_and_masks())
 def test_algebra_laws_on_larger_algebras(data):
-    alg, x, y, z = data
+    alg, *masks = data
+    x, y, z = (alg.element_at(k) for k in masks)
     assert x | (y & z) == (x | y) & (x | z)
     assert ~(x | y) == ~x & ~y
     assert x - y == x & ~y
     assert (x <= y) == (~y <= ~x)
     assert x & (x | y) == x and x | (x & y) == x
+
+    # an independent model: Python sets of labels, the k-th label on bit k
+    names = [f"a{i}" for i in range(len(alg.atoms))]
+    universe = set(names)
+
+    def labels(k):
+        return {name for i, name in enumerate(names) if k >> i & 1}
+
+    def agrees(element, expected):
+        ordered = [name for name in names if name in expected]
+        assert list(element) == ordered
+        assert str(element) == "{" + ",".join(ordered) + "}"
+        assert len(element) == len(expected)
+        assert bool(element) == bool(expected)
+        assert all((name in element) == (name in expected) for name in names)
+        assert "b0" not in element
+        assert element == alg.element(expected)
+        assert hash(element) == hash(alg.element(expected))
+
+    other = FiniteBooleanAlgebra(f"b{i}" for i in range(len(names)))
+    for j, (u, a) in enumerate(zip((x, y, z), masks)):
+        p = labels(a)
+        agrees(u, p)
+        agrees(~u, universe - p)
+        assert u != other.element_at(a)
+        for v, b in zip((x, y, z)[j:], masks[j:]):
+            q = labels(b)
+            agrees(u & v, p & q)
+            agrees(u | v, p | q)
+            agrees(u - v, p - q)
+            agrees(v - u, q - p)
+            assert (u <= v, u < v, u >= v, u > v) == (p <= q, p < q, p >= q, p > q)
+            assert (v <= u, v < u, v >= u, v > u) == (q <= p, q < p, q >= p, q > p)
+            assert (u == v) == (p == q) and (u != v) == (p != q)
+        with pytest.raises(ValueError, match="unknown atom"):
+            alg.element([*p, "b0"])
 
 
 @pytest.mark.parametrize("atoms", [

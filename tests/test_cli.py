@@ -159,7 +159,7 @@ def test_verify_json_names_failing_witnesses(files, capsys, monkeypatch):
 
     def wrong_image_of_a(tower, x):
         fork, new, images = images_of(tower, x)
-        images["a"] = fork.algebra(new).bottom
+        images[tower.top.atoms.index("a")] = fork.algebra(new).bottom
         return fork, new, images
 
     monkeypatch.setattr(prob, "_conditional_atom_images", wrong_image_of_a)

@@ -255,7 +255,8 @@ def test_batched_law_checker_reports_a_wrong_atom_image(monkeypatch):
     def wrong_image_of_a(tower, event):
         fork, new, images = images_of(tower, event)
         if event == x:
-            images["a"] = images["c"]
+            index = tower.top.atoms.index
+            images[index("a")] = images[index("c")]
         return fork, new, images
 
     monkeypatch.setattr(prob, "_conditional_atom_images", wrong_image_of_a)

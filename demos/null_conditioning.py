@@ -37,14 +37,13 @@ except NullEventError as exc:
 
 tangible = make_tangible(dist)
 print("\nperturbed to (1 - e) P + e U with U uniform:")
-for atom, mass in tangible.masses.items():
+for atom, mass in zip(algebra.atoms, tangible.masses):
     print(f"  P({atom}) = {format_scalar(mass)}")
 assert tangible.is_strictly_positive()
 
 lifted = extend_distribution(tower, tangible, stage)
 print(f"\nblock rule at stage {stage}:")
-for atom in tower.top.atoms:
-    mass = lifted.masses[atom]
+for atom, mass in zip(tower.top.atoms, lifted.masses):
     print(f"  P({tower.top.atom_element(atom)}) = {format_scalar(mass)}"
           f"   (standard part {standard_part(mass)})")
 
@@ -60,4 +59,4 @@ print("\nits standard projection concentrates all mass over d, matching"
       " the original distribution:")
 print("  " + ", ".join(
     f"P({tower.top.atom_element(a)}) = {m}"
-    for a, m in projected.masses.items() if m))
+    for a, m in zip(tower.top.atoms, projected.masses) if m))

@@ -30,7 +30,7 @@ print(f"base algebra: atoms a, c, d; x = {x}, y = {y}")
 for k, dist in enumerate(dists, start=1):
     target = prob_of(dist, x & y) / prob_of(dist, x)
     print(f"\ndistribution {k}: "
-          + ", ".join(f"P({a}) = {m}" for a, m in dist.masses.items()))
+          + ", ".join(f"P({a}) = {m}" for a, m in zip(algebra.atoms, dist.masses)))
     print(f"  P(y | x) = {target}")
     for i in range(algebra.size()):
         candidate = algebra.element_at(i)

@@ -3,7 +3,7 @@
 Starting from a finite base algebra, each extension step adjoins the
 conditionals [b]y for one conditioning event b. The extended algebra's
 atoms are ordered pairs (w, u) of lower atoms lying on opposite sides of
-b, each named by its label ``(w,u)`` (``Step.pairs`` keeps the components);
+b, each named by its label ``(w,u)`` (``Step.pairs`` keeps their indices);
 the lower algebra embeds by sending an atom to the set of pairs whose first
 component it is, and swapping pair components is an automorphism t that
 exchanges the embedded copies of b and its complement. The conditional is
@@ -83,7 +83,7 @@ class Step:
     index: int
     base: Element  # element of the lower stage that was conditioned on
     algebra: FiniteBooleanAlgebra
-    pairs: tuple  # the lower atom labels (w, u) of each upper atom, in atom order
+    pairs: tuple  # the lower atom indices (w, u) of each upper atom, in atom order
     psi: tuple  # per lower atom index, the mask of its embedded image
     t: tuple  # the pair swap: upper atom index -> index of its swapped pair
     prior_step: Optional[int] = None  # step whose conditioning this repeats
@@ -241,13 +241,14 @@ class Tower:
         for w, block in enumerate(blocks):
             for u in bits(block):
                 assert blocks[u] >> w & 1, "partner blocks are not symmetric"
-                pairs.append((algebra.atoms[w], algebra.atoms[u]))
+                pairs.append((w, u))
                 # (u, w) follows the partners of u below w in the run of u
                 t.append(starts[u] + (blocks[u] & ((1 << w) - 1)).bit_count())
         step = Step(
             index=self.top_index + 1,
             base=b,
-            algebra=FiniteBooleanAlgebra(f"({w},{u})" for w, u in pairs),
+            algebra=FiniteBooleanAlgebra(
+                f"({algebra.atoms[w]},{algebra.atoms[u]})" for w, u in pairs),
             pairs=tuple(pairs),
             psi=tuple(((1 << n) - 1) << start for n, start in zip(sizes, starts)),
             t=tuple(t),

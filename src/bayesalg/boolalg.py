@@ -141,10 +141,6 @@ class FiniteBooleanAlgebra:
             raise ValueError(f"element index {index} out of range")
         return Element(self, index)
 
-    def index_of(self, x: "Element") -> int:
-        self._require_own(x)
-        return x.mask
-
     def elements(self) -> Iterator["Element"]:
         for k in range(self.size()):
             yield Element(self, k)

@@ -57,18 +57,23 @@ class Valuation:
                 value = self.assignment[f.name]
             except KeyError:
                 raise KeyError(f"no assignment for variable {f.name!r}")
-            return tower.push(value, self._base_stage, tower.top_index)
+            return self._lift(value, self._base_stage)
         # the left operand is pushed up past the stages the right one built
         if isinstance(f, Impl):
             left = self.value(f.left)
             stage = tower.top_index
             right = self.value(f.right)
-            return ~tower.push(left, stage, tower.top_index) | right
+            return ~self._lift(left, stage) | right
         base = self.value(f.base)
         stage = tower.top_index
         body = self.value(f.body)
-        base = tower.push(base, stage, tower.top_index)
-        return tower.conditional(base, body, mode=self.mode)[0]
+        return tower.conditional(self._lift(base, stage), body, mode=self.mode)[0]
+
+    def _lift(self, x: Element, stage: int) -> Element:
+        """x, computed when ``stage`` was the top, at the current top; no
+        push while the tower has not grown since."""
+        top = self.tower.top_index
+        return x if stage == top else self.tower.push(x, stage, top)
 
     def satisfies(self, s: Sequent) -> bool:
         """True when some member of s evaluates to top."""

@@ -2,10 +2,12 @@
 
 A distribution assigns each atom of one tower stage a nonnegative scalar
 mass summing to one; masses are plain rationals or, when null events have
-to be smoothed away, rational functions of the infinitesimal ``e``. A
-distribution on a stage extends to the next extension stage by the block
-rule: the pair atom (w, u) gets mass P(w) * P(u) / P(block(w)), where
-block(w) is the set of permitted second components for w. The embedded
+to be smoothed away, rational functions of the infinitesimal ``e``. The
+masses run in the algebra's atom order, so P(x) sums them over the set
+bits of x's mask; atom labels appear only where masses enter or leave as
+text. A distribution on a stage extends to the next extension stage by
+the block rule: the pair atom (w, u) gets mass P(w) * P(u) / P(block(w)),
+where block(w) is the set of permitted second components for w. The embedded
 copy of the lower stage keeps its probabilities exactly, and the total
 mass stays one, so conditional events acquire probabilities consistent
 with every stage below.
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .bayes import Tower, _axiom_events, _axiom_violations, _conditional_atom_images
-from .boolalg import Element, FiniteBooleanAlgebra
+from .boolalg import Element, FiniteBooleanAlgebra, bits
 from .field import (
     EPSILON,
     InfinitesimalScalar,
@@ -70,19 +72,20 @@ class NullEventError(ValueError):
 
 @dataclass
 class Distribution:
-    """Atom masses for one stage of a tower."""
+    """Atom masses for one stage of a tower, as a tuple in the algebra's
+    atom order: ``masses[i]`` is the mass of the atom at bit i of every
+    element's mask."""
 
     algebra: FiniteBooleanAlgebra
-    masses: dict
+    masses: tuple
     stage: int = 0
 
     def __post_init__(self):
-        if set(self.masses) != set(self.algebra.atoms):
-            raise ValueError("masses must cover exactly the algebra's atoms")
+        if len(self.masses) != len(self.algebra.atoms):
+            raise ValueError("need one mass per atom")
+        self.masses = tuple(map(as_scalar, self.masses))
         total = None
-        for atom, mass in self.masses.items():
-            mass = as_scalar(mass)
-            self.masses[atom] = mass
+        for atom, mass in zip(self.algebra.atoms, self.masses):
             if mass < 0:
                 raise ValueError(f"negative mass at {atom}")
             total = mass if total is None else total + mass
@@ -90,10 +93,10 @@ class Distribution:
             raise ValueError(f"masses sum to {format_scalar(total)}, not 1")
 
     def is_strictly_positive(self) -> bool:
-        return all(m > 0 for m in self.masses.values())
+        return all(m > 0 for m in self.masses)
 
     def is_rational(self) -> bool:
-        return all(isinstance(m, Fraction) for m in self.masses.values())
+        return all(isinstance(m, Fraction) for m in self.masses)
 
 
 def base_distribution(
@@ -103,31 +106,28 @@ def base_distribution(
 ) -> Distribution:
     """Build a distribution from a mapping or an atom-ordered sequence.
 
-    Keys are atoms (their labels); values may be scalars or scalar text
-    like ``"1/4"`` or ``"(1 - e)/2"``.
+    Keys are atoms (their labels), in any order; values may be scalars or
+    scalar text like ``"1/4"`` or ``"(1 - e)/2"``.
     """
-    if not isinstance(masses, dict):
-        masses = dict(zip(algebra.atoms, masses))
-        if len(masses) != len(algebra.atoms):
-            raise ValueError("need one mass per atom")
-    out = {}
-    for atom, value in masses.items():
-        if isinstance(value, str):
-            value = parse_scalar(value)
-        out[atom] = as_scalar(value)
-    return Distribution(algebra, out, stage)
+    if isinstance(masses, dict):
+        if set(masses) != set(algebra.atoms):
+            raise ValueError("masses must cover exactly the algebra's atoms")
+        masses = [masses[atom] for atom in algebra.atoms]
+    return Distribution(
+        algebra,
+        [parse_scalar(m) if isinstance(m, str) else m for m in masses],
+        stage,
+    )
 
 
 def prob_of(dist: Distribution, x: Element) -> Scalar:
     dist.algebra._require_own(x)
-    return _total(dist.masses, x)
+    return _total(dist.masses, x.mask)
 
 
-def _total(masses: dict, atoms) -> Scalar:
-    total: Scalar = Fraction(0)
-    for atom in atoms:
-        total = total + masses[atom]
-    return total
+def _total(masses: Sequence, mask: int) -> Scalar:
+    """The sum of masses[i] over the set bits i of mask, lowest first."""
+    return sum(map(masses.__getitem__, bits(mask)), Fraction(0))
 
 
 def make_tangible(dist: Distribution, mode: str = "uniform") -> Distribution:
@@ -139,8 +139,7 @@ def make_tangible(dist: Distribution, mode: str = "uniform") -> Distribution:
     """
     if not dist.is_rational():
         raise ValueError("distribution is already infinitesimal-valued")
-    atoms = dist.algebra.atoms
-    n = len(atoms)
+    n = len(dist.masses)
     if mode == "uniform":
         ref = [InfinitesimalScalar.from_rational(Fraction(1, n))] * n
     elif mode == "hahn_witness":
@@ -149,48 +148,41 @@ def make_tangible(dist: Distribution, mode: str = "uniform") -> Distribution:
         raise ValueError(f"unknown mode {mode!r}")
     one = InfinitesimalScalar.from_rational(1)
     keep = one - EPSILON
-    masses = {
-        a: keep * dist.masses[a] + EPSILON * r for a, r in zip(atoms, ref)
-    }
+    masses = [keep * m + EPSILON * r for m, r in zip(dist.masses, ref)]
     return Distribution(dist.algebra, masses, dist.stage)
 
 
 def standard_project(dist: Distribution) -> Distribution:
     """Forget the infinitesimal part of every mass."""
     return Distribution(
-        dist.algebra,
-        {a: standard_part(m) for a, m in dist.masses.items()},
-        dist.stage,
-    )
+        dist.algebra, [standard_part(m) for m in dist.masses], dist.stage)
 
 
 def _extend_once(tower: Tower, dist: Distribution) -> Distribution:
-    step = tower.step(dist.stage + 1)
-    blocks: dict = {}
-    for w, u in step.pairs:
-        blocks.setdefault(w, []).append(u)
-    block_mass = {w: _total(dist.masses, seconds) for w, seconds in blocks.items()}
-    masses = {}
-    for atom, (w, u) in zip(step.algebra.atoms, step.pairs):
-        if block_mass[w] == 0:
-            if dist.masses[w] == 0:
-                masses[atom] = Fraction(0)
-                continue
-            raise NullEventError(
-                f"block of {w} has probability 0; "
-                "make the base distribution strictly positive first"
-            )
-        masses[atom] = dist.masses[w] * dist.masses[u] / block_mass[w]
-    # the embedded copy of the lower stage keeps its probabilities; the
-    # image of w is exactly its block of pairs (w, u)
-    for w, image in zip(dist.algebra.atoms, step.psi):
-        total = _total(masses, Element(step.algebra, image))
-        if total != dist.masses[w]:
+    step, lower = tower.step(dist.stage + 1), dist.masses
+    masses = []
+    # the image of w is its run of pairs (w, u); their u make up w's block
+    for w, run in enumerate(step.psi):
+        seconds = [step.pairs[p][1] for p in bits(run)]
+        block = sum(map(lower.__getitem__, seconds), Fraction(0))
+        if block == 0:
+            if lower[w] != 0:
+                raise NullEventError(
+                    f"block of {dist.algebra.atoms[w]} has probability 0; "
+                    "make the base distribution strictly positive first"
+                )
+            carried = [Fraction(0)] * len(seconds)
+        else:
+            carried = [lower[w] * lower[u] / block for u in seconds]
+        # the embedded copy of the lower stage keeps its probabilities
+        total = sum(carried, Fraction(0))
+        if total != lower[w]:
             raise RuntimeError(
-                f"block rule broke the embedding at {w}: its"
+                f"block rule broke the embedding at {dist.algebra.atoms[w]}: its"
                 f" pairs carry {format_scalar(total)}, not"
-                f" {format_scalar(dist.masses[w])}"
+                f" {format_scalar(lower[w])}"
             )
+        masses += carried
     return Distribution(step.algebra, masses, dist.stage + 1)
 
 
@@ -232,7 +224,7 @@ def _tangible(dist: Distribution, positivity: str) -> Distribution:
     if positivity == "error" or dist.is_strictly_positive():
         return dist
     if not dist.is_rational():
-        null = next(a for a in dist.algebra.atoms if dist.masses[a] == 0)
+        null = next(a for a, m in zip(dist.algebra.atoms, dist.masses) if m == 0)
         raise NullEventError(
             f"{null} has probability 0 and the masses are already in Q(e);"
             " give every atom a nonzero mass"
@@ -259,7 +251,8 @@ def _conditional_law(
     caller already built it. There [x]- is a Boolean homomorphism whose atom
     images are pairwise disjoint (check_bayes_axioms checks that they
     partition the extension), so P([x]y) and P([x]y & ~x) are sums over y's
-    atoms of per-atom masses, and marginal preservation depends on x alone.
+    atoms of per-atom masses, and marginal preservation depends on x alone;
+    it holds by construction (see below), so every report says it holds.
 
     Returns one report per y, with the keys of verify_conditional_law but
     ``p_conditional_std``; where [x]y needs the extension and its block
@@ -278,43 +271,42 @@ def _conditional_law(
     fresh = null = None
     if any(value is None for value in values):
         fork, new, images = extension or _conditional_atom_images(tower, x)
+        # marginals hold by construction: _extend_once checks that each atom
+        # of the top keeps its mass in at_new, and the null restart, which
+        # would extend a perturbed at_top instead, cannot fire, because both
+        # callers pass a distribution that _tangible has already made positive
         try:
             at_new = extend_distribution(fork, at_top, new, positivity)
         except NullEventError as exc:
             null = exc
         else:
-            marginals = all(
-                prob_of(at_new, Element(fork.top, lift)) == at_top.masses[a]
-                for a, lift in zip(top.atoms, fork.step(new).psi)
-            )
             # corollary: the conditional is independent of the complement of x
-            not_x = fork.push(~x, new - 1, new)
-            value_mass = {a: prob_of(at_new, image) for a, image in zip(top.atoms, images)}
-            not_x_mass = {a: prob_of(at_new, image & not_x)
-                          for a, image in zip(top.atoms, images)}
-            fresh = new, marginals, value_mass, not_x_mass
+            not_x = fork.push(~x, new - 1, new).mask
+            value_mass = [_total(at_new.masses, image.mask) for image in images]
+            not_x_mass = [_total(at_new.masses, image.mask & not_x) for image in images]
+            fresh = new, value_mass, not_x_mass
 
     reports = []
     for y, value in zip(ys, values):
         if value is not None:
-            stage, marginals = tower.top_index, True
+            stage = tower.top_index
             p_value = prob_of(at_top, value)
             p_value_not_x = prob_of(at_top, ~x & value)
         elif fresh is None:
             reports.append(null)
             continue
         else:
-            stage, marginals, value_mass, not_x_mass = fresh
-            p_value = _total(value_mass, y)
-            p_value_not_x = _total(not_x_mass, y)
-        p_xy = _total(at_top.masses, x & y)
+            stage, value_mass, not_x_mass = fresh
+            p_value = _total(value_mass, y.mask)
+            p_value_not_x = _total(not_x_mass, y.mask)
+        p_xy = _total(at_top.masses, x.mask & y.mask)
         reports.append({
             "stage": stage,
             "p_x": p_x,
             "p_x_and_y": p_xy,
             "p_conditional": p_value,
             "product_matches": p_value * p_x == p_xy,
-            "marginals_preserved": marginals,
+            "marginals_preserved": True,
             "independent_of_complement": p_value * p_not_x == p_value_not_x,
         })
     return reports
@@ -446,7 +438,7 @@ def distribution_to_json(dist: Distribution) -> dict:
     return {
         "stage": dist.stage,
         "masses": {
-            a: format_scalar(dist.masses[a]) for a in dist.algebra.atoms
+            a: format_scalar(m) for a, m in zip(dist.algebra.atoms, dist.masses)
         },
     }
 

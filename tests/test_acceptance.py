@@ -227,9 +227,9 @@ def _product_law_problems(tower, dist, exhaustive, rng, counted,
         stage = fork.extend(x)
         up = extend_distribution(fork, at_top, stage)
         if marginals == "all" or position == 0:
-            for a in top.atoms:
+            for a, mass in zip(top.atoms, at_top.masses):
                 lifted = fork.push(top.atom_element(a), stage - 1, stage)
-                if prob_of(up, lifted) != at_top.masses[a]:
+                if prob_of(up, lifted) != mass:
                     problems.append(f"marginal not preserved under [{x}]")
                     break
         lift_x = fork.push(x, stage - 1, stage)
@@ -247,6 +247,7 @@ def _product_law_problems(tower, dist, exhaustive, rng, counted,
                     break
         else:
             zero = p_x * 0
+            up_mass = dict(zip(up.algebra.atoms, up.masses))
             for j in range(top.size()):
                 y = top.element_at(j)
                 cover = frozenset()
@@ -254,7 +255,7 @@ def _product_law_problems(tower, dist, exhaustive, rng, counted,
                     cover |= img[a].atoms
                 p_value = zero
                 for a in cover:
-                    p_value = p_value + up.masses[a]
+                    p_value = p_value + up_mass[a]
                 counted[1] += 1
                 if p_value * p_x != prob_of(at_top, x & y):
                     problems.append(f"product law fails at x={x}, y={y}")
@@ -298,7 +299,7 @@ def test_criterion_2_probability_extension(capsys):
         at_top = extend_distribution(tower, tangible, tower.top_index)
         for i, a in enumerate(base.atoms):
             lifted = tower.push(base.atom_element(a), 0, tower.top_index)
-            if standard_part(prob_of(at_top, lifted)) != veiled.masses[a]:
+            if standard_part(prob_of(at_top, lifted)) != veiled.masses[i]:
                 problems.append(f"standard projection moved the mass of atom {i}")
     ok = not problems
     detail = (
@@ -375,9 +376,9 @@ def test_criterion_4_idempotent_reconditioning(capsys):
             dist = base_distribution(base, _positive_masses(base, rng))
             at_first = extend_distribution(tower, dist, first)
             at_second = extend_distribution(tower, at_first, second)
-            for a in lower.atoms:
+            for a, mass in zip(lower.atoms, at_first.masses):
                 lifted = tower.push(lower.atom_element(a), first, second)
-                if prob_of(at_second, lifted) != at_first.masses[a]:
+                if prob_of(at_second, lifted) != mass:
                     problems.append(f"{names} [{b}]: mass not transported")
                     break
     ok = not problems

@@ -29,7 +29,8 @@ def test_first_extension_atoms_are_cross_pairs():
     stage = tower.extend(x)
     assert stage == 1
     assert tower.top.atoms == ("(a,d)", "(c,d)", "(d,a)", "(d,c)")
-    assert tower.step(1).pairs == (("a", "d"), ("c", "d"), ("d", "a"), ("d", "c"))
+    # indices into (a, c, d): the pairs (a,d), (c,d), (d,a) and (d,c)
+    assert tower.step(1).pairs == ((0, 2), (1, 2), (2, 0), (2, 1))
 
 
 def test_embedding_and_conditional_value():
@@ -63,7 +64,7 @@ def test_immediate_reconditioning_is_an_atom_bijection():
     tower.extend(lifted)
     after = tower.top.atoms
     assert len(after) == len(before)
-    pairs = tower.step(2).pairs
+    pairs = [(before[w], before[u]) for w, u in tower.step(2).pairs]
     assert {w for w, _ in pairs} == set(before)
     swap = tower.step(1).t
     for (w, u) in pairs:

@@ -40,6 +40,8 @@ def test_tracer_installs_counts_and_uninstalls(monkeypatch, tmp_path, capsys):
     assert before["bayes.extend.calls"] == 1
     assert before["prob.prob_of.calls"] >= 1
     assert before["prob.extend.calls"] == 1
+    # the 4 atoms of stage 1, each given its mass once
+    assert before["prob.atoms_massed"] == 4
     # verify extends the 3-atom stage 0 once per nontrivial x, for both
     # the structural and the probability laws
     assert tracer.counts["bayes.extend.calls"] - before["bayes.extend.calls"] == 6

@@ -37,7 +37,7 @@ def test_enumeration_is_bitmask_ordered():
     assert alg.element_at(5) == alg.element(["a", "d"])
     assert alg.element_at(alg.size() - 1) == alg.top
     for k in range(alg.size()):
-        assert alg.index_of(alg.element_at(k)) == k
+        assert alg.element_at(k).mask == k
 
 
 def test_pair_atoms_round_trip():

@@ -322,7 +322,11 @@ def test_usage_errors_exit_two(capsys):
     ({"stage": 0}, "expected an object with a \"masses\" mapping"),
     ({"stage": 3, "masses": {"a": "1/4", "c": "1/4", "d": "1/2"}},
      "stage 3 is not a stage of the tower (0..0)"),
-], ids=["unparsable-mass", "sum-13/12", "negative-mass", "no-masses", "stage-3"])
+    ({"masses": {"a": "1/2", "d": "1/2"}}, "masses must cover exactly the algebra's atoms"),
+    ({"masses": {"a": "1/4", "c": "1/4", "d": "1/2", "f": "0"}},
+     "masses must cover exactly the algebra's atoms"),
+], ids=["unparsable-mass", "sum-13/12", "negative-mass", "no-masses", "stage-3",
+        "missing-label", "extra-label"])
 def test_bad_distribution_exits_two_with_one_line(files, capsys, payload, message):
     path = files["dir"] / "bad.json"
     path.write_text(json.dumps(payload))
@@ -334,6 +338,20 @@ def test_bad_distribution_exits_two_with_one_line(files, capsys, payload, messag
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert message in err
+
+
+def test_masses_out_of_atom_order_land_on_their_atoms(files, capsys):
+    shuffled = files["dir"] / "shuffled.json"
+    shuffled.write_text(json.dumps({"masses": {"d": "1/2", "c": "3/8", "a": "1/8"}}))
+    capsys.readouterr()
+    for query, expected in (("{a}", "1/8"), ("{c}", "3/8"), ("{d}", "1/2"),
+                            ("[{a,c}]{a}", "1/4")):
+        assert main(["prob", files["tower"], str(shuffled), query]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+    # verify names the one null atom of Q(e) masses
+    shuffled.write_text(json.dumps({"masses": {"d": "e", "c": "0", "a": "1 - e"}}))
+    assert main(["verify", files["tower"], str(shuffled), "--field", "eps"]) == 1
+    assert capsys.readouterr().err.startswith("null event: c has probability 0 ")
 
 
 @pytest.mark.parametrize("step, message", [

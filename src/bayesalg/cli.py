@@ -365,7 +365,10 @@ def _dbl_check(args) -> int:
             derivation = derivation_from_json(data, name=Path(path).stem)
         except (KeyError, TypeError, FormulaParseError) as exc:
             raise UsageError(f"{path}: {exc}") from exc
-        reports = check_derivation(derivation)
+        try:
+            reports = check_derivation(derivation)
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from exc
         failures = [r for r in reports if not r.ok]
         if args.format == "json":
             reports_out.append({

@@ -333,7 +333,10 @@ def _check_step(index: int, step: ProofStep,
         if not 0 <= ref < index:
             return f"premise {ref} is not an earlier step"
         resolved.append(steps[ref].conclusion)
-    return checker(step, resolved)
+    try:
+        return checker(step, resolved)
+    except ValueError as exc:  # a resource guard: the TAUT letter limit
+        raise ValueError(f"step {index} {step.rule}: {exc}") from exc
 
 
 def derivation_to_json(derivation: Derivation) -> list:

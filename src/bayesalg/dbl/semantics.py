@@ -32,7 +32,7 @@ class Valuation:
 
     The assignment maps variable names to elements of the algebra at
     ``tower.top_index`` as of construction time.  Evaluation may extend
-    the tower; values are lifted to the newest stage on demand.
+    the tower; each node's value is kept and lifted to the newest stage.
     """
 
     def __init__(self, tower: Tower, assignment: Dict[str, Element],
@@ -46,9 +46,19 @@ class Valuation:
         self.mode = mode
         self._base_stage = tower.top_index
         self.assignment = dict(assignment)
+        # node -> (value, the top it was computed at); "fresh" builds anew
+        self._memo = None if mode == "fresh" else {}
 
     def value(self, f: Formula) -> Element:
         """Evaluate f, returning an element of the (possibly new) top."""
+        if self._memo is None:
+            return self._evaluate(f)
+        hit = self._memo.get(f)
+        if hit is None:
+            hit = self._memo[f] = (self._evaluate(f), self.tower.top_index)
+        return self._lift(*hit)
+
+    def _evaluate(self, f: Formula) -> Element:
         tower = self.tower
         if isinstance(f, Bot):
             return tower.algebra(tower.top_index).bottom

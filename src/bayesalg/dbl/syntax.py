@@ -31,7 +31,7 @@ Names are identifiers; ``T`` and ``F`` are reserved.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
 from typing import Iterator, Optional, Tuple, Union
 
 __all__ = [
@@ -62,44 +62,73 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Bot:
+# (class, *fields) -> the one live node with them
+_INTERNED: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+
+
+def _intern(cls, *fields) -> "_Node":
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    object.__setattr__(node, "depth", max(
+        (f.depth + 1 for f in fields if isinstance(f, _Node)), default=0))
+    _INTERNED[(cls, *fields)] = node
+    return node
+
+
+class _Node:
+    """An immutable formula node, interned: a constructor returns the one
+    live node with its class and fields, so ``==`` is identity and
+    ``hash`` is the object's own. ``depth`` is the height of the tree."""
+
+    __slots__ = ("depth", "__weakref__")
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # so copy and pickle give the interned node back
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return format_formula(self)
+
+
+class Bot(_Node):
     """Falsum."""
 
-    def __repr__(self) -> str:
-        return "F"
+    __slots__ = ()
+
+    def __new__(cls):
+        return _INTERNED.get((cls,)) or _intern(cls)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Node):
     """Propositional variable."""
 
-    name: str
+    __slots__ = ("name",)
 
-    def __repr__(self) -> str:
-        return self.name
+    def __new__(cls, name: str):
+        return _INTERNED.get((cls, name)) or _intern(cls, name)
 
 
-@dataclass(frozen=True)
-class Impl:
+class Impl(_Node):
     """Material implication."""
 
-    left: "Formula"
-    right: "Formula"
+    __slots__ = ("left", "right")
 
-    def __repr__(self) -> str:
-        return format_formula(self)
+    def __new__(cls, left: "Formula", right: "Formula"):
+        return _INTERNED.get((cls, left, right)) or _intern(cls, left, right)
 
 
-@dataclass(frozen=True)
-class Cond:
+class Cond(_Node):
     """Conditional prefix: ``Cond(x, y)`` is ``[x]y``."""
 
-    base: "Formula"
-    body: "Formula"
+    __slots__ = ("base", "body")
 
-    def __repr__(self) -> str:
-        return format_formula(self)
+    def __new__(cls, base: "Formula", body: "Formula"):
+        return _INTERNED.get((cls, base, body)) or _intern(cls, base, body)
 
 
 Formula = Union[Bot, Var, Impl, Cond]
@@ -251,12 +280,10 @@ class FormulaParseError(ValueError):
         self.position = position
 
 
-# One scan; the catch-all \S group is a character no token starts with.
-_TOKEN = re.compile(
-    r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\|\||<->|->|[|&~\[\]()])"
-    r"|(?P<bad>\S)"
-)
+# One scan: a name, an operator, a character no token starts with (\S) or
+# the empty end token (\Z); _SYMBOLS holds every token text but a name.
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\|\||<->|->|[|&~\[\]()]|\S|\Z")
+_SYMBOLS = frozenset(["||", "<->", "->", "|", "&", "~", "[", "]", "(", ")", ""])
 
 _CONSTANTS = {"T": TOP, "F": BOT}
 
@@ -268,70 +295,77 @@ _BINARY = {
     "&": (_AND, _AND + 1, conj),
 }
 
-
-def _tokenize(text: str) -> "list[tuple[str, str, int]]":
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup == "bad":
-            raise FormulaParseError(f"unexpected character {m.group()!r}",
-                                    m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+# Bounds parser nesting and tree depth, so that every recursive walker over
+# a parsed formula stays far inside Python's recursion limit.
+_MAX_DEPTH = 200
 
 
 class _Parser:
-    """Precedence climbing over the token list; names and the end token
-    never spell an operator, so operators are matched by text alone."""
+    """Precedence climbing over the token texts. Positions are found
+    again only for an error message."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
         self.index = 0
+        # a catch-all token is one character that starts no name
+        bad = [t for t in set(self.tokens) - _SYMBOLS
+               if not (t.isascii() and t.isidentifier())]
+        if bad:
+            self.index = min(map(self.tokens.index, bad))
+            self.fail(f"unexpected character {self.tokens[self.index]!r}")
+
+    def fail(self, message: str):
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        raise FormulaParseError(message, starts[self.index])
 
     def accept(self, op: str) -> bool:
-        if self.tokens[self.index][1] == op:
+        if self.tokens[self.index] == op:
             self.index += 1
             return True
         return False
 
     def expect(self, op: str) -> None:
         if not self.accept(op):
-            raise FormulaParseError(f"expected {op!r}", self.tokens[self.index][2])
+            self.fail(f"expected {op!r}")
 
-    def formula(self, level: int = _IFF) -> Formula:
+    def formula(self, level: int = _IFF, nesting: int = 0) -> Formula:
         """The longest formula whose binary connectives bind at ``level``
         or tighter."""
-        result = self.unary()
+        result = self.unary(nesting)
         while True:
-            binary = _BINARY.get(self.tokens[self.index][1])
+            binary = _BINARY.get(self.tokens[self.index])
             if binary is None or binary[0] < level:
+                if result.depth > _MAX_DEPTH:
+                    self.fail("formula nested too deeply")
                 return result
             self.index += 1
-            result = binary[2](result, self.formula(binary[1]))
+            result = binary[2](result, self.formula(binary[1], nesting + 1))
 
-    def unary(self) -> Formula:
-        kind, value, pos = self.tokens[self.index]
+    def unary(self, nesting: int) -> Formula:
+        value = self.tokens[self.index]
+        if value in _SYMBOLS and value not in ("~", "[", "("):
+            self.fail("expected a formula")
+        if nesting > _MAX_DEPTH:
+            self.fail("formula nested too deeply")
         self.index += 1
-        if kind == "name":
-            return _CONSTANTS[value] if value in _CONSTANTS else Var(value)
         if value == "~":
-            return neg(self.unary())
+            return neg(self.unary(nesting + 1))
         if value == "[":
-            base = self.formula()
+            base = self.formula(nesting=nesting + 1)
             self.expect("]")
-            return Cond(base, self.unary())
+            return Cond(base, self.unary(nesting + 1))
         if value == "(":
-            inner = self.formula()
+            inner = self.formula(nesting=nesting + 1)
             self.expect(")")
             return inner
-        raise FormulaParseError("expected a formula", pos)
+        return _CONSTANTS[value] if value in _CONSTANTS else Var(value)
 
     def end(self, result):
         """Return result when every token is used, else raise at the first
         one left over."""
-        kind, value, pos = self.tokens[self.index]
-        if kind != "end":
-            raise FormulaParseError(f"unexpected {value!r}", pos)
+        if self.tokens[self.index]:
+            self.fail(f"unexpected {self.tokens[self.index]!r}")
         return result
 
 

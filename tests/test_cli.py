@@ -558,3 +558,47 @@ def test_dbl_check_rejects_malformed_files(files, capsys, payload, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command, deep", [
+    ("eval", "(" * 3000 + "x" + ")" * 3000),
+    ("search", "~" * 5000 + "x"),
+    ("check", "~" * 5000 + "x"),
+], ids=["eval", "search", "check"])
+def test_deep_nesting_exits_two_with_one_line(files, capsys, command, deep):
+    def run(text):
+        if command == "check":
+            path = files["dir"] / "deep.json"
+            path.write_text(json.dumps([{"conclusion": text, "rule": "TAUT"}]))
+        else:
+            path = files["dir"] / "deep.txt"
+            path.write_text(text + "\n")
+        argv = ["dbl", command, str(path)]
+        if command == "eval":
+            argv += ["--atoms", "a,b", "--let", "x={a}"]
+        capsys.readouterr()
+        return main(argv), capsys.readouterr(), path
+
+    # at the bound, parsing, evaluation, search and TAUT all run
+    rc, captured, _ = run("~" * 198 + "(x -> x)")
+    assert (rc, captured.err) == (0, "")
+    rc, captured, path = run(deep)
+    assert (rc, captured.out) == (2, "")
+    where = path if command == "check" else f"{path}:1"
+    assert captured.err == (
+        f"error: {where}: formula nested too deeply (at position 201)\n")
+
+
+def test_tautology_over_the_letter_limit_exits_two_naming_the_step(files, capsys):
+    steps = [{"conclusion": "x -> x", "rule": "TAUT"},
+             {"conclusion": " -> ".join(f"v{i}" for i in range(18)),
+              "rule": "TAUT"}]
+    path = files["dir"] / "many-letters.json"
+    path.write_text(json.dumps(steps))
+    capsys.readouterr()
+    assert main(["dbl", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: step 1 TAUT: tautology check over 18 letters exceeds"
+        " the limit of 16\n")

@@ -1,13 +1,16 @@
 """Formula evaluation over towers and sequent satisfaction."""
 
+import itertools
 import random
 
 import pytest
 
 from bayesalg.bayes import Tower
 from bayesalg.boolalg import FiniteBooleanAlgebra, parse_element
+from bayesalg.dbl import build_corpus
 from bayesalg.dbl.semantics import Valuation, evaluate, holds, random_valuation
-from bayesalg.dbl.syntax import parse_formula, parse_sequent
+from bayesalg.dbl.syntax import (
+    Bot, Cond, Impl, Var, atom_names, parse_formula, parse_sequent, subformulas)
 
 
 def _tower(names="a,c,d"):
@@ -110,3 +113,57 @@ def test_missing_binding_and_foreign_element():
     other = FiniteBooleanAlgebra.from_names("p,q")
     with pytest.raises(ValueError):
         Valuation(tower, {"x": other.top})
+
+
+def _unmemoised(tower, assignment, f, mode):
+    """f evaluated by plain recursion, each occurrence anew, through
+    Tower.push and Tower.conditional only."""
+    if isinstance(f, Bot):
+        return tower.push(tower.base.bottom, 0, tower.top_index)
+    if isinstance(f, Var):
+        return tower.push(assignment[f.name], 0, tower.top_index)
+    first, second = (f.left, f.right) if isinstance(f, Impl) else (f.base, f.body)
+    a = _unmemoised(tower, assignment, first, mode)
+    stage = tower.top_index
+    b = _unmemoised(tower, assignment, second, mode)
+    a = tower.push(a, stage, tower.top_index)
+    if isinstance(f, Impl):
+        return ~a | b
+    return tower.conditional(a, b, mode=mode)[0]
+
+
+def _conditionals(sequent):
+    return sum(isinstance(g, Cond) for f in sequent for g in subformulas(f))
+
+
+def test_memo_agrees_with_unmemoised_evaluation_on_every_valuation():
+    corpus = build_corpus()
+    sequents = [parse_sequent("[x](y -> z) -> ([x]y -> [x]z)"),
+                parse_sequent("[x]y -> (x -> y)"),
+                parse_sequent("[x]~y <-> ~[x]y")]
+    sequents += [d.conclusion for _, d in sorted(corpus.items())]
+    conclusions = sorted({step.conclusion for d in corpus.values()
+                          for step in d.steps} - set(sequents), key=repr)
+    sequents += random.Random(24).sample(conclusions, 200)
+    algebra = FiniteBooleanAlgebra.from_names("a,b")
+    elements = [algebra.element_at(k) for k in range(algebra.size())]
+    valuations = 0
+    for sequent in sequents:
+        names = sorted(set().union(*map(atom_names, sequent)))
+        # mode "fresh" builds a stage per conditional occurrence, and atom
+        # labels double in length per stage, so it runs on small sequents
+        modes = ("auto", "fresh") if _conditionals(sequent) <= 12 else ("auto",)
+        for values in itertools.product(elements, repeat=len(names)):
+            assignment = dict(zip(names, values))
+            valuations += 1
+            for mode in modes:
+                # per member in turn: its value's mask and the top after it
+                memo = Tower(algebra)
+                valuation = Valuation(memo, assignment, mode=mode)
+                plain = Tower(algebra)
+                assert [(valuation.value(f).mask, memo.top_index)
+                        for f in sequent] == [
+                    (_unmemoised(plain, assignment, f, mode).mask,
+                     plain.top_index) for f in sequent], (
+                    sequent, assignment, mode)
+    assert valuations > 5000

@@ -1,8 +1,17 @@
-"""Formula grammar: parsing, printing, derived forms."""
+"""Formula grammar: parsing, printing, derived forms, interned nodes."""
+
+import copy
+import gc
+import json
+import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+from bayesalg.dbl import (
+    build_corpus, derivation_from_json, derivation_to_json, syntax)
+from bayesalg.dbl.proofs import AXIOMS
 from bayesalg.dbl.syntax import (
     BOT,
     Cond,
@@ -113,6 +122,15 @@ _MALFORMED = [
     (parse_formula, "   ", "expected a formula", 3),
     (parse_sequent, "", "expected a formula", 0),
     (parse_sequent, " \t ", "expected a formula", 3),
+    # nesting past 200 levels, and trees deeper than 200 nodes
+    (parse_formula, "~" * 201 + "x", "formula nested too deeply", 201),
+    (parse_formula, "~" * 5000 + "x", "formula nested too deeply", 201),
+    (parse_formula, "(" * 201 + "x" + ")" * 201, "formula nested too deeply", 201),
+    (parse_sequent, "x || " + "[x]" * 201 + "x", "formula nested too deeply", 606),
+    (parse_formula, " -> ".join(["x"] * 202), "formula nested too deeply", 1005),
+    (parse_formula, " & ".join(["x"] * 52), "formula nested too deeply", 205),
+    (parse_sequent, "(" + " <-> ".join(["x"] * 42) + ") || x",
+     "formula nested too deeply", 248),
 ]
 
 
@@ -166,3 +184,64 @@ def test_sequent_print_parse_roundtrip(members):
 @given(_formulas, _formulas)
 def test_iff_detector_matches_constructor(a, b):
     assert as_iff(iff(a, b)) == (a, b)
+
+
+def test_formulas_at_the_depth_bound_parse():
+    assert parse_formula("~" * 200 + "x").depth == 200
+    assert parse_formula("(" * 200 + "x" + ")" * 200) == x
+    assert parse_formula(" & ".join(["x"] * 51)).depth == 200
+    assert parse_formula(" -> ".join(["x"] * 201)).depth == 200
+
+
+def test_equal_structures_are_one_node():
+    f = Impl(Cond(x, Impl(y, z)), Impl(Cond(x, y), Cond(x, z)))
+    built = [
+        Impl(Cond(Var("x"), Impl(Var("y"), Var("z"))),
+             Impl(Cond(Var("x"), Var("y")), Cond(Var("x"), Var("z")))),
+        parse_formula("[x](y -> z) -> ([x]y -> [x]z)"),
+        AXIOMS["AxK"].instance(x, y, z),
+        copy.copy(f),
+        copy.deepcopy(f),
+        pickle.loads(pickle.dumps(f)),
+    ]
+    assert all(g is f for g in built)
+    assert parse_formula("~x") is neg(x) is Impl(x, BOT)
+    assert parse_formula("x & y") is conj(x, y)
+    assert parse_formula("x <-> y") is iff(x, y)
+    assert parse_formula("T") is TOP is neg(syntax.Bot())
+    assert copy.deepcopy((f, [f]))[1][0] is f
+    assert hash(f) == object.__hash__(f)
+
+
+def test_nodes_are_immutable():
+    f = Impl(x, y)
+    for node, field in ((f, "left"), (x, "name"), (Cond(x, y), "body"),
+                        (BOT, "depth")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, y)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert f.left is x and f.right is y
+
+
+def test_the_node_table_shrinks_back_after_a_corpus_is_dropped():
+    # fresh variable names, so no node of a corpus built elsewhere is reused
+    def renamed(text):
+        return re.sub(r"[A-Za-z_]\w*",
+                      lambda m: m[0] if m[0] in ("T", "F") else m[0] + "_dropped",
+                      text)
+
+    files = []
+    for _, derivation in sorted(build_corpus().items()):
+        steps = derivation_to_json(derivation)
+        for step in steps:
+            step["conclusion"] = renamed(step["conclusion"])
+        files.append(json.dumps(steps))
+    gc.collect()
+    before = len(syntax._INTERNED)
+    derivations = [derivation_from_json(json.loads(text)) for text in files]
+    assert len(derivations) == 23
+    assert len(syntax._INTERNED) > before + 1000
+    del derivations
+    gc.collect()
+    assert len(syntax._INTERNED) == before
